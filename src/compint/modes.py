@@ -16,6 +16,7 @@ serves as the quadrature-level oracle for the analytic formula.
 from __future__ import annotations
 
 import enum
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -120,6 +121,7 @@ class ComplexModalField:
         return np.abs(self.coeffs) ** 2
 
 
+@functools.lru_cache(maxsize=32)
 def default_grid(basis: ModeBasis, points: int = _DEFAULT_POINTS) -> SampledGrid:
     """Grid adequate for orthonormality to ~1e-14 up to basis.max_order <= 64.
 
@@ -129,6 +131,10 @@ def default_grid(basis: ModeBasis, points: int = _DEFAULT_POINTS) -> SampledGrid
     the radial measure folded into the weights (w_i * r_i); a uniform rule is
     not used because its O(h^2) boundary error at r = 0 caps the attainable
     orthonormality near 1e-5.
+
+    Grids are memoised per (basis, points): the Gauss-Legendre nodes cost far
+    more than one field evaluation, and a SampledGrid is immutable, so callers
+    can share one.
     """
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
@@ -253,11 +259,12 @@ def field_interferogram(field: ComplexModalField, alpha: float,
         raise ValueError(f"alpha must be finite, got {alpha}")
     if grid is None:
         grid = default_grid(field.basis)
-    ref = synthesize(field, grid)
+    psi = mode_table(field.basis, grid)
+    ref = psi @ field.coeffs
     base = float(grid.weights @ np.abs(ref) ** 2)
     if base <= 0.0:
         raise ValueError("field has zero norm on this grid")
-    delayed = synthesize(generalized_delay(field, alpha), grid)
+    delayed = psi @ generalized_delay(field, alpha).coeffs
     raw = float(grid.weights @ np.abs(delayed + ref) ** 2)
     # P(0) integrates |2 E|^2 = 4 * base; dividing by 2 * base pins P(0) = 2.
     return raw / (2.0 * base)

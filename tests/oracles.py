@@ -2,12 +2,14 @@
 
 These deliberately avoid the package's own code paths: brute-force support
 enumeration for l1 minimization, direct summation for harmonic projection,
-and closed-form mode functions via scipy.special.
+closed-form mode functions via scipy.special, and a Cholesky-based ADMM loop
+for Basis Pursuit.
 """
 import itertools
 import math
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.special import eval_hermite, eval_laguerre
 
 
@@ -73,3 +75,56 @@ def laguerre_gauss_radial(r, p, waist=1.0):
     """Radial Laguerre-Gauss profile orthonormal under the r dr measure."""
     u = 2.0 * np.asarray(r, dtype=float) ** 2 / waist ** 2
     return (2.0 / waist) * eval_laguerre(p, u) * np.exp(-0.5 * u)
+
+
+def admm_reference(a, yv, opts):
+    """Basis Pursuit by ADMM with a cached Cholesky x-update.
+
+    Same arithmetic and stopping rule as `compint.recovery.basis_pursuit`,
+    written the long way: every iteration solves the x-update by
+    back-substitution and computes both residuals.  Returns
+    (z, iterations, converged).
+    """
+    m, n = a.shape
+    rho = opts.penalty_rho
+    eps = opts.residual_epsilon
+    factor = cho_factor(np.eye(n) + a.T @ a)
+
+    x = np.zeros(n)
+    z = np.zeros(n)
+    w = np.zeros(m)
+    u1 = np.zeros(n)
+    u2 = np.zeros(m)
+    kappa = 1.0 / rho
+    sqrt_nm = np.sqrt(n + m)
+    sqrt_n = np.sqrt(n)
+
+    iterations = 0
+    converged = False
+    for iterations in range(1, opts.max_iters + 1):
+        x = cho_solve(factor, (z - u1) + a.T @ (w - u2))
+        ax = a @ x
+        z_prev = z
+        w_prev = w
+        v = x + u1
+        if opts.nonnegative:
+            z = np.maximum(v - kappa, 0.0)
+        else:
+            z = np.sign(v) * np.maximum(np.abs(v) - kappa, 0.0)
+        d = ax + u2 - yv
+        dist = np.linalg.norm(d)
+        w = yv + (d if dist <= eps else d * (eps / dist))
+        u1 = u1 + (x - z)
+        u2 = u2 + (ax - w)
+
+        pri = np.sqrt(np.sum((x - z) ** 2) + np.sum((ax - w) ** 2))
+        dual = rho * np.linalg.norm((z - z_prev) + a.T @ (w - w_prev))
+        eps_pri = sqrt_nm * opts.abs_tol + opts.rel_tol * max(
+            np.sqrt(np.sum(x ** 2) + np.sum(ax ** 2)),
+            np.sqrt(np.sum(z ** 2) + np.sum(w ** 2)))
+        eps_dual = sqrt_n * opts.abs_tol + opts.rel_tol * rho * np.linalg.norm(u1 + a.T @ u2)
+        if pri <= eps_pri and dual <= eps_dual:
+            if np.linalg.norm(a @ z - yv) <= eps + opts.abs_tol:
+                converged = True
+                break
+    return z, iterations, converged

@@ -500,3 +500,15 @@ def test_module_entry_point():
     assert proc.returncode == 0, proc.stderr
     body = json.loads(proc.stdout)
     assert body["data"]["powers"][0] == 2.0
+
+
+def test_import_does_not_load_scipy():
+    # numpy is the only runtime dependency; scipy would slow every cold start
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, compint, compint.cli; "
+         "print(sorted(k for k in sys.modules "
+         "if k == 'scipy' or k.startswith('scipy.')))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -72,6 +72,20 @@ def test_default_grid_orthonormality_to_order_64(kind):
     assert np.max(np.abs(gram - np.eye(64))) < 1e-10
 
 
+@pytest.mark.parametrize("kind", list(BasisKind))
+def test_default_grid_is_shared_and_read_only(kind):
+    basis = ModeBasis(kind, 8, waist=1.5)
+    grid = default_grid(basis)
+    again = default_grid(ModeBasis(kind, 8, waist=1.5))
+    np.testing.assert_array_equal(again.points, grid.points)
+    np.testing.assert_array_equal(again.weights, grid.weights)
+    with pytest.raises(ValueError):
+        grid.points[0] = 0.0
+    with pytest.raises(ValueError):
+        grid.weights[0] = 1.0
+    assert again is grid   # memoised: leggauss(1024) runs once per basis
+
+
 def test_modest_order_orthonormality_on_coarser_span():
     # a narrower hand-built trapezoid grid still resolves low orders
     grid = trapezoid_grid(-10.0, 10.0, 1024)

@@ -21,7 +21,7 @@ from compint.sensing import (
     sensing_matrix,
 )
 
-from oracles import harmonic_projection, l1_oracle
+from oracles import admm_reference, harmonic_projection, l1_oracle
 
 
 # -------------------------------------------------------------- harmonic route
@@ -140,6 +140,44 @@ def test_bp_matches_exhaustive_l1_oracle():
     assert worst < 1e-6
 
 
+def _equivalence_problems():
+    """60 seeded problems: N in {8, 16, 64}, M in 3..min(2N, 60), sigma in
+    {0, 0.01}, and default, nonnegative and (eps = 0.05, rho = 2) options."""
+    option_sets = (
+        BPOptions(max_iters=2000),
+        BPOptions(max_iters=2000, nonnegative=True),
+        BPOptions(max_iters=2000, residual_epsilon=0.05, penalty_rho=2.0),
+    )
+    for i in range(60):
+        rng = np.random.default_rng(900 + i)
+        n = (8, 16, 64)[i % 3]
+        m = int(rng.integers(3, min(2 * n, 60) + 1))
+        sigma = (0.0, 0.01)[(i // 3) % 2]
+        opts = option_sets[(i // 6) % 3]
+        x = np.zeros(n)
+        s = int(rng.integers(1, 5))
+        x[rng.choice(n, s, replace=False)] = rng.dirichlet(np.ones(s))
+        sched = random_schedule(m, seed=2000 + i)
+        y = sample_interferogram(ModalSpectrum(x), sched, sigma, seed=i)
+        yield sensing_matrix(sched, n), y, opts
+
+
+def test_bp_matches_reference_admm_loop():
+    # The precomputed x-update and the deferred dual test compute the same
+    # iterates as the Cholesky loop, so iteration counts and the convergence
+    # flag must match exactly.
+    converged = 0
+    for phi, y, opts in _equivalence_problems():
+        res = basis_pursuit(phi, y, opts)
+        z, iterations, ok = admm_reference(phi.entries, y.values, opts)
+        assert res.iterations == iterations
+        assert res.converged == ok
+        np.testing.assert_allclose(res.raw, z, rtol=0.0, atol=1e-9)
+        converged += ok
+    # both outcomes are exercised
+    assert 0 < converged < 60
+
+
 def test_bp_converged_implies_feasible():
     for i in range(20):
         rng = np.random.default_rng(300 + i)
@@ -197,7 +235,7 @@ def test_bp_noise_requires_matching_epsilon():
     sigma = 0.05
     y = sample_interferogram(truth, sched, noise_sigma=sigma, seed=6)
 
-    tight = basis_pursuit(phi, y, BPOptions(max_iters=3000))
+    tight = basis_pursuit(phi, y, BPOptions(max_iters=2000))
     assert not tight.converged
 
     eps = 1.2 * sigma * np.sqrt(128)
