@@ -132,9 +132,11 @@ def default_grid(basis: ModeBasis, points: int = _DEFAULT_POINTS) -> SampledGrid
     not used because its O(h^2) boundary error at r = 0 caps the attainable
     orthonormality near 1e-5.
 
-    Grids are memoised per (basis, points): the Gauss-Legendre nodes cost far
-    more than one field evaluation, and a SampledGrid is immutable, so callers
-    can share one.
+    Grids are memoised per (basis, points), so a process that asks for the
+    same grid again, e.g. by calling `field_interferogram` without a grid at
+    several delays, computes the Gauss-Legendre nodes (far dearer than one
+    field evaluation) only once.  A SampledGrid is immutable, so callers can
+    share one.
     """
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
@@ -259,12 +261,11 @@ def field_interferogram(field: ComplexModalField, alpha: float,
         raise ValueError(f"alpha must be finite, got {alpha}")
     if grid is None:
         grid = default_grid(field.basis)
-    psi = mode_table(field.basis, grid)
-    ref = psi @ field.coeffs
+    ref = synthesize(field, grid)
     base = float(grid.weights @ np.abs(ref) ** 2)
     if base <= 0.0:
         raise ValueError("field has zero norm on this grid")
-    delayed = psi @ generalized_delay(field, alpha).coeffs
+    delayed = synthesize(generalized_delay(field, alpha), grid)
     raw = float(grid.weights @ np.abs(delayed + ref) ** 2)
     # P(0) integrates |2 E|^2 = 4 * base; dividing by 2 * base pins P(0) = 2.
     return raw / (2.0 * base)

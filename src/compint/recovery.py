@@ -8,7 +8,6 @@ program for random sub-Nyquist schedules.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,11 +83,6 @@ class RecoveryResult:
         if self.final_residual < 0:
             raise ValueError("final_residual must be >= 0")
         object.__setattr__(self, "raw", _readonly(np.asarray(self.raw, dtype=float).copy()))
-
-
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a 1-D vector, without np.linalg.norm's dispatch."""
-    return math.sqrt(v @ v)
 
 
 def _as_vector(x) -> np.ndarray:
@@ -191,22 +185,23 @@ def basis_pursuit(phi: SensingMatrix, y: MeasurementVector,
         else:
             z = np.sign(vz) * np.maximum(np.abs(vz) - kappa, 0.0)
         d = v[n:] - yv
-        dist = _norm(d)
+        dist = np.linalg.norm(d)
         w = yv + (d if dist <= eps else d * (eps / dist))
         zw_prev = zw
         zw = np.concatenate((z, w))
         r = xa - zw
         u += r
 
+        eps_pri = eps_pri_abs + opts.rel_tol * max(np.linalg.norm(xa), np.linalg.norm(zw))
         # The dual side costs two more matvecs: only once the primal test passes.
-        if _norm(r) <= eps_pri_abs + opts.rel_tol * max(_norm(xa), _norm(zw)):
-            dual = rho * _norm(b @ (zw - zw_prev))
-            eps_dual = eps_dual_abs + opts.rel_tol * rho * _norm(b @ u)
-            if dual <= eps_dual and _norm(a @ z - yv) <= eps + opts.abs_tol:
+        if np.linalg.norm(r) <= eps_pri:
+            dual = rho * np.linalg.norm(b @ (zw - zw_prev))
+            eps_dual = eps_dual_abs + opts.rel_tol * rho * np.linalg.norm(b @ u)
+            if dual <= eps_dual and np.linalg.norm(a @ z - yv) <= eps + opts.abs_tol:
                 converged = True
                 break
 
-    residual = _norm(a @ z - yv)
+    residual = float(np.linalg.norm(a @ z - yv))
     return RecoveryResult(
         spectrum=_reported_spectrum(z, opts.zero_threshold),
         iterations=iterations,

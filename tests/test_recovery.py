@@ -235,7 +235,7 @@ def test_bp_noise_requires_matching_epsilon():
     sigma = 0.05
     y = sample_interferogram(truth, sched, noise_sigma=sigma, seed=6)
 
-    tight = basis_pursuit(phi, y, BPOptions(max_iters=2000))
+    tight = basis_pursuit(phi, y, BPOptions(max_iters=3000))
     assert not tight.converged
 
     eps = 1.2 * sigma * np.sqrt(128)
