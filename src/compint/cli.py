@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -31,8 +32,8 @@ import numpy as np
 from . import __version__
 from ._rng import derive_seed
 from .diagnostics import eta_ensemble, incoherence, isotropy_estimate
-from .experiments import (builtin_scenarios, error_vs_m_sweep, run_scenario,
-                          scenario_by_name)
+from .experiments import (ScenarioSpec, builtin_scenarios, error_vs_m_sweep,
+                          run_scenario, scenario_by_name)
 from .recovery import BPOptions, basis_pursuit, ft_recover
 from .sensing import (DelaySchedule, MeasurementVector, ModalSpectrum,
                       ScheduleKind, nyquist_schedule, random_schedule,
@@ -64,59 +65,76 @@ class EmitError(Exception):
 
 @dataclass(frozen=True)
 class _Param:
+    """One config key: its default, its validator and its flag's help line.
+
+    The validator also carries the argparse keywords of the key's flag (see
+    `_flag`), so `_build_parser` reads everything from the tables below.
+    """
+
     default: object
     convert: object  # callable(key, raw) -> validated value
+    help: str
+
+    def validate(self, key, raw):
+        """None leaves a key whose default is None unset."""
+        if raw is None and self.default is None:
+            return None
+        return self.convert(key, raw)
+
+
+def _flag(**keywords):
+    """Attach to a validator the argparse keywords of its flag."""
+    def mark(convert):
+        convert.flag = keywords
+        return convert
+    return mark
+
+
+def _default(owner, name):
+    """A library default (function or dataclass field), so none is restated."""
+    return inspect.signature(owner).parameters[name].default
 
 
 def _reject(key, constraint, raw):
     raise ConfigError(f"key '{key}': expected {constraint}, got {raw!r}")
 
 
-def _int_min(minimum):
+def _integer(constraint, in_range):
+    @_flag(type=int)
     def convert(key, raw):
-        if isinstance(raw, bool) or not isinstance(raw, int):
-            _reject(key, f"an integer >= {minimum}", raw)
-        if raw < minimum:
-            _reject(key, f"an integer >= {minimum}", raw)
+        if isinstance(raw, bool) or not isinstance(raw, int) or not in_range(raw):
+            _reject(key, constraint, raw)
         return raw
     return convert
 
 
-def _float_min(minimum):
+def _number(constraint, in_range=lambda value: True):
+    """A finite float from an int or float that `in_range` accepts."""
+    @_flag(type=float)
     def convert(key, raw):
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            _reject(key, f"a number >= {minimum}", raw)
+            _reject(key, constraint, raw)
         value = float(raw)
-        if not math.isfinite(value) or value < minimum:
-            _reject(key, f"a number >= {minimum}", raw)
+        if not math.isfinite(value) or not in_range(value):
+            _reject(key, constraint, raw)
         return value
     return convert
 
 
-def _float_positive(key, raw):
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        _reject(key, "a number > 0", raw)
-    value = float(raw)
-    if not math.isfinite(value) or value <= 0:
-        _reject(key, "a number > 0", raw)
-    return value
+_COUNT = _integer("an integer >= 1", lambda value: value >= 1)
+_FINITE = _number("a finite number")
+_NONNEGATIVE = _number("a number >= 0.0", lambda value: value >= 0)
+_POSITIVE = _number("a number > 0", lambda value: value > 0)
 
 
-def _float_any(key, raw):
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        _reject(key, "a finite number", raw)
-    value = float(raw)
-    if not math.isfinite(value):
-        _reject(key, "a finite number", raw)
-    return value
-
-
+@_flag(action="store_true")
 def _bool(key, raw):
     if not isinstance(raw, bool):
         _reject(key, "a boolean", raw)
     return raw
 
 
+@_flag()
 def _string(key, raw):
     if not isinstance(raw, str):
         _reject(key, "a string", raw)
@@ -124,6 +142,7 @@ def _string(key, raw):
 
 
 def _choice(*options):
+    @_flag(choices=options)
     def convert(key, raw):
         if raw not in options:
             _reject(key, "one of " + "/".join(options), raw)
@@ -131,24 +150,29 @@ def _choice(*options):
     return convert
 
 
+def _weight(key, item, raw, not_numeric):
+    """One nonnegative finite weight of the list or map `raw`."""
+    try:
+        value = float(item)
+    except (TypeError, ValueError):
+        _reject(key, not_numeric, raw)
+    if isinstance(item, bool) or not math.isfinite(value) or value < 0:
+        _reject(key, "nonnegative finite weights", raw)
+    return value
+
+
+@_flag()
 def _weight_list(key, raw):
     """Nonnegative weights, as a JSON list or a comma-separated string."""
     if isinstance(raw, str):
         raw = [part.strip() for part in raw.split(",")]
     if not isinstance(raw, list) or len(raw) == 0:
         _reject(key, "a non-empty list of numbers", raw)
-    out = []
-    for item in raw:
-        try:
-            value = float(item)
-        except (TypeError, ValueError):
-            _reject(key, "a non-empty list of numbers", raw)
-        if isinstance(item, bool) or not math.isfinite(value) or value < 0:
-            _reject(key, "nonnegative finite weights", raw)
-        out.append(value)
-    return out
+    return [_weight(key, item, raw, "a non-empty list of numbers")
+            for item in raw]
 
 
+@_flag()
 def _mode_map(key, raw):
     """{harmonic index: weight}, as a JSON object or 'n=w,n=w' string."""
     if isinstance(raw, str):
@@ -169,16 +193,11 @@ def _mode_map(key, raw):
             _reject(key, "integer mode indices >= 1", raw)
         if index < 1 or index in out:
             _reject(key, "distinct integer mode indices >= 1", raw)
-        try:
-            weight = float(weight_raw)
-        except (TypeError, ValueError):
-            _reject(key, "numeric weights", raw)
-        if isinstance(weight_raw, bool) or not math.isfinite(weight) or weight < 0:
-            _reject(key, "nonnegative finite weights", raw)
-        out[index] = weight
+        out[index] = _weight(key, weight_raw, raw, "numeric weights")
     return out
 
 
+@_flag()
 def _int_list(key, raw):
     if isinstance(raw, str):
         raw = [part.strip() for part in raw.split(",")]
@@ -186,96 +205,102 @@ def _int_list(key, raw):
         _reject(key, "a non-empty list of integers >= 1", raw)
     out = []
     for item in raw:
-        if isinstance(item, bool):
-            _reject(key, "integers >= 1", raw)
         try:
             value = int(item)
         except (TypeError, ValueError):
             _reject(key, "integers >= 1", raw)
-        if isinstance(item, float) and item != value:
-            _reject(key, "integers >= 1", raw)
-        if value < 1:
+        if (isinstance(item, bool) or value < 1
+                or isinstance(item, float) and item != value):
             _reject(key, "integers >= 1", raw)
         out.append(value)
     return out
 
 
-def _optional(convert):
-    def wrapped(key, raw):
-        if raw is None:
-            return None
-        return convert(key, raw)
-    return wrapped
-
-
+# One entry per config key: every flag, default and help line comes from here.
+# A help line gets " (default X)" appended unless the default is None.
 _SCHEMAS = {
     "simulate": {
-        "n": _Param(64, _int_min(1)),
-        "schedule": _Param("even", _choice("even", "random")),
-        "m": _Param(None, _optional(_int_min(1))),
-        "noise_sigma": _Param(0.0, _float_min(0.0)),
-        "scenario": _Param(None, _optional(_string)),
-        "weights": _Param(None, _optional(_weight_list)),
-        "modes": _Param(None, _optional(_mode_map)),
+        "n": _Param(64, _COUNT, "number of potential modes"),
+        "schedule": _Param("even", _choice("even", "random"),
+                           "delay schedule kind"),
+        "m": _Param(None, _COUNT,
+                    "number of samples (default "
+                    f"{_default(ScenarioSpec, 'nyquist_m')} even, "
+                    f"{_default(ScenarioSpec, 'cs_m')} random)"),
+        "noise_sigma": _Param(_default(sample_interferogram, "noise_sigma"),
+                              _NONNEGATIVE, "additive Gaussian noise level"),
+        "scenario": _Param(None, _string, "builtin beam name to simulate"),
+        "weights": _Param(None, _weight_list,
+                          "comma-separated weight vector (sets n)"),
+        "modes": _Param(None, _mode_map, "sparse weights as n=w,n=w pairs"),
     },
     "recover": {
-        "input": _Param(None, _optional(_string)),
-        "method": _Param("bp", _choice("ft", "bp")),
-        "baseline": _Param(1.0, _float_any),
-        "wrap": _Param(False, _bool),
-        "n": _Param(64, _int_min(1)),
-        "epsilon": _Param(1e-9, _float_min(0.0)),
-        "rho": _Param(1.0, _float_positive),
-        "max_iters": _Param(50000, _int_min(1)),
-        "nonnegative": _Param(False, _bool),
-        "zero_threshold": _Param(1e-6, _float_min(0.0)),
+        "input": _Param(None, _string,
+                        "interferogram CSV with header alpha,power"),
+        "method": _Param("bp", _choice("ft", "bp"),
+                         "harmonic inversion (ft) or Basis Pursuit (bp)"),
+        "baseline": _Param(1.0, _FINITE, "baseline subtracted from power"),
+        "wrap": _Param(False, _bool, "reduce out-of-range delays mod 2*pi"),
+        "n": _Param(64, _COUNT, "number of potential modes"),
+        "epsilon": _Param(_default(BPOptions, "residual_epsilon"), _NONNEGATIVE,
+                          "BP residual radius"),
+        "rho": _Param(_default(BPOptions, "penalty_rho"), _POSITIVE,
+                      "BP penalty parameter"),
+        "max_iters": _Param(_default(BPOptions, "max_iters"), _COUNT,
+                            "BP iteration cap"),
+        "nonnegative": _Param(_default(BPOptions, "nonnegative"), _bool,
+                              "restrict BP to nonnegative weights"),
+        "zero_threshold": _Param(_default(BPOptions, "zero_threshold"),
+                                 _NONNEGATIVE, "snap smaller weights to zero"),
     },
     "diagnose": {
-        "check": _Param("eta", _choice("eta", "incoherence", "isotropy")),
-        "m": _Param(30, _int_min(1)),
-        "n": _Param(64, _int_min(1)),
-        "s": _Param(4, _int_min(1)),
-        "samples": _Param(100000, _int_min(1)),
-        "schedules": _Param(1000, _int_min(1)),
-        "rows": _Param(100000, _int_min(1)),
-        "redraw_phi": _Param(False, _bool),
+        "check": _Param("eta", _choice("eta", "incoherence", "isotropy"),
+                        "which property"),
+        "m": _Param(30, _COUNT, "measurements per schedule"),
+        "n": _Param(64, _COUNT, "number of potential modes"),
+        "s": _Param(4, _COUNT, "sparsity of test vectors"),
+        "samples": _Param(100000, _COUNT, "eta sample count"),
+        "schedules": _Param(1000, _COUNT, "schedules for incoherence"),
+        "rows": _Param(100000, _COUNT, "rows for isotropy"),
+        "redraw_phi": _Param(_default(eta_ensemble, "redraw_phi"), _bool,
+                             "fresh sensing matrix per eta sample"),
     },
     "sweep": {
-        "n": _Param(64, _int_min(1)),
-        "s_max": _Param(4, _int_min(1)),
-        "m_values": _Param(None, _optional(_int_list)),
-        "m_min": _Param(5, _int_min(1)),
-        "m_max": _Param(50, _int_min(1)),
-        "m_step": _Param(5, _int_min(1)),
-        "runs": _Param(100, _int_min(1)),
-        "vectors": _Param(None, _optional(_int_min(1))),
-        "threshold": _Param(0.01, _float_positive),
-        "max_iters": _Param(5000, _int_min(1)),
+        "n": _Param(64, _COUNT, "number of potential modes"),
+        "s_max": _Param(4, _COUNT, "largest support size drawn"),
+        "m_values": _Param(None, _int_list,
+                           "comma-separated M values (overrides the range)"),
+        "m_min": _Param(5, _COUNT, "range start"),
+        "m_max": _Param(50, _COUNT, "range stop, inclusive"),
+        "m_step": _Param(5, _COUNT, "range step"),
+        "runs": _Param(100, _COUNT, "draws per M"),
+        "vectors": _Param(None, _COUNT, "ground-truth pool size (default: runs)"),
+        "threshold": _Param(_default(error_vs_m_sweep, "threshold"), _POSITIVE,
+                            "mean-error threshold for m_star"),
+        "max_iters": _Param(_default(error_vs_m_sweep, "opts").max_iters,
+                            _COUNT, "BP iteration cap per solve"),
     },
     "scenario": {
-        "name": _Param("hg0", _string),
-        "all": _Param(False, _bool),
-        "nyquist_m": _Param(128, _int_min(1)),
-        "cs_m": _Param(30, _int_min(1)),
-        "noise_sigma": _Param(0.0, _float_min(0.0)),
+        "name": _Param("hg0", _string, "builtin beam name"),
+        "all": _Param(False, _bool, "run every builtin beam"),
+        "nyquist_m": _Param(_default(ScenarioSpec, "nyquist_m"), _COUNT,
+                            "even-grid sample count"),
+        "cs_m": _Param(_default(ScenarioSpec, "cs_m"), _COUNT,
+                       "random sample count"),
+        "noise_sigma": _Param(_default(ScenarioSpec, "noise_sigma"),
+                              _NONNEGATIVE, "additive Gaussian noise level"),
     },
 }
 
-_GLOBAL_DEFAULTS = {"seed": 0, "out": None, "format": "json", "strict": False}
-
-
-def _validate_global(key, raw):
-    if key == "seed":
-        if isinstance(raw, bool) or not isinstance(raw, int) or not 0 <= raw < 2 ** 64:
-            _reject(key, "an unsigned 64-bit integer", raw)
-        return raw
-    if key == "out":
-        return None if raw is None else _string(key, raw)
-    if key == "format":
-        return _choice("json", "csv")(key, raw)
-    if key == "strict":
-        return _bool(key, raw)
-    raise AssertionError(key)
+# Keys every command takes; they fill RunConfig's own fields, not params.
+_GLOBALS = {
+    "seed": _Param(0, _integer("an unsigned 64-bit integer",
+                               lambda value: 0 <= value < 2 ** 64),
+                   "seed for all randomness"),
+    "out": _Param(None, _string, "output file (default: stdout)"),
+    "format": _Param("json", _choice("json", "csv"), "output format"),
+    "strict": _Param(False, _bool, "exit 5 if a reported solve did not converge"),
+}
 
 
 def _check_simulate(params, explicit):
@@ -306,7 +331,8 @@ def _check_simulate(params, explicit):
             raise ConfigError(
                 f"key 'modes': index {top} exceeds n={params['n']}")
     if params["m"] is None:
-        params["m"] = 128 if params["schedule"] == "even" else 30
+        count = "nyquist_m" if params["schedule"] == "even" else "cs_m"
+        params["m"] = _default(ScenarioSpec, count)
 
 
 def _check_recover(params, explicit):
@@ -343,19 +369,12 @@ def _check_scenario(params, explicit):
         raise ConfigError(
             f"key 'name': unknown scenario '{params['name']}'; "
             "available: " + ", ".join(names))
+    if params["all"] and "name" in explicit:
+        raise ConfigError("key 'name': mutually exclusive with all")
     if params["cs_m"] > params["nyquist_m"]:
         raise ConfigError(
             f"key 'cs_m': {params['cs_m']} exceeds nyquist_m="
             f"{params['nyquist_m']}")
-
-
-_CROSS_CHECKS = {
-    "simulate": _check_simulate,
-    "recover": _check_recover,
-    "diagnose": _check_diagnose,
-    "sweep": _check_sweep,
-    "scenario": _check_scenario,
-}
 
 
 @dataclass(frozen=True)
@@ -404,33 +423,27 @@ def parse_config(command: str, config_path: str | None = None,
         raise ConfigError(f"unknown command '{command}'")
     schema = _SCHEMAS[command]
 
-    params = {key: spec.default for key, spec in schema.items()}
-    globals_map = dict(_GLOBAL_DEFAULTS)
+    keys = {**schema, **_GLOBALS}
+    values = {key: spec.default for key, spec in keys.items()}
     explicit = set()
 
-    sources = []
-    if config_path is not None:
-        sources.append(_load_config_file(config_path))
-    if overrides:
-        sources.append(overrides)
-    for source in sources:
+    loaded = {} if config_path is None else _load_config_file(config_path)
+    for source in (loaded, overrides or {}):
         for key, raw in source.items():
-            if key in _GLOBAL_DEFAULTS:
-                globals_map[key] = _validate_global(key, raw)
-            elif key in schema:
-                params[key] = schema[key].convert(key, raw)
-                explicit.add(key)
-            else:
+            if key not in keys:
                 raise ConfigError(f"unknown key '{key}' for command '{command}'")
+            values[key] = keys[key].validate(key, raw)
+            explicit.add(key)
 
-    _CROSS_CHECKS[command](params, explicit)
+    params = {key: values[key] for key in schema}
+    _COMMANDS[command].check(params, explicit)
     return RunConfig(
         command=command,
         params=params,
-        seed=globals_map["seed"],
-        output_path=globals_map["out"],
-        output_format=globals_map["format"],
-        strict=globals_map["strict"],
+        seed=values["seed"],
+        output_path=values["out"],
+        output_format=values["format"],
+        strict=values["strict"],
     )
 
 
@@ -561,6 +574,10 @@ def emit_result(meta: dict, output: CommandOutput, fmt: str,
     try:
         fd, temp_path = tempfile.mkstemp(dir=directory, prefix=".partial-")
         try:
+            # mkstemp makes the file 0600; give it the mode open() would.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)
             os.replace(temp_path, path)
@@ -779,168 +796,70 @@ def _run_scenario_cmd(cfg: RunConfig) -> CommandOutput:
                          strict_violation=any(not r.bp.converged for r in results))
 
 
-_HANDLERS = {
-    "simulate": _run_simulate,
-    "recover": _run_recover,
-    "diagnose": _run_diagnose,
-    "sweep": _run_sweep,
-    "scenario": _run_scenario_cmd,
+@dataclass(frozen=True)
+class _Command:
+    help: str
+    check: object  # callable(params, explicit): cross-key checks and derived keys
+    run: object  # callable(RunConfig) -> CommandOutput
+
+
+_COMMANDS = {
+    "simulate": _Command("write interferogram samples for a chosen beam",
+                         _check_simulate, _run_simulate),
+    "recover": _Command("recover modal weights from an interferogram file",
+                        _check_recover, _run_recover),
+    "diagnose": _Command("check sensing-ensemble properties",
+                         _check_diagnose, _run_diagnose),
+    "sweep": _Command("trace reconstruction error versus measurement count",
+                      _check_sweep, _run_sweep),
+    "scenario": _Command("reconstruct builtin beams with both methods",
+                         _check_scenario, _run_scenario_cmd),
 }
 
 
 # ---------------------------------------------------------------------------
 # argument parsing and entry point
 
-def _add_common_flags(sub):
-    sub.add_argument("--config", metavar="PATH",
-                     help="JSON config file; flags override its keys")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="seed for all randomness (default 0)")
-    sub.add_argument("--out", metavar="PATH", default=None,
-                     help="output file (default: stdout)")
-    sub.add_argument("--format", choices=("json", "csv"), default=None,
-                     help="output format (default: json)")
-    sub.add_argument("--strict", action="store_true", default=None,
-                     help="exit 5 if a reported solve did not converge")
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    """One flag per key of `_SCHEMAS` and `_GLOBALS`, named with `_` -> `-`.
+
+    Absent flags leave no attribute (argparse.SUPPRESS), so the parsed
+    namespace holds exactly the overrides plus `command` and `config`.
+    """
     parser = argparse.ArgumentParser(
         prog="compint",
         description="Simulate, sample, and recover sparse modal spectra "
                     "from optical interferograms.")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sim = subs.add_parser(
-        "simulate", help="write interferogram samples for a chosen beam")
-    sim.add_argument("--n", type=int, default=None,
-                     help="number of potential modes (default 64)")
-    sim.add_argument("--schedule", choices=("even", "random"), default=None,
-                     help="delay schedule kind (default even)")
-    sim.add_argument("--m", type=int, default=None,
-                     help="number of samples (default 128 even, 30 random)")
-    sim.add_argument("--noise-sigma", type=float, default=None,
-                     help="additive Gaussian noise level (default 0)")
-    sim.add_argument("--scenario", default=None,
-                     help="builtin beam name to simulate")
-    sim.add_argument("--weights", default=None,
-                     help="comma-separated weight vector (sets n)")
-    sim.add_argument("--modes", default=None,
-                     help="sparse weights as n=w,n=w pairs")
-
-    rec = subs.add_parser(
-        "recover", help="recover modal weights from an interferogram file")
-    rec.add_argument("input", nargs="?", default=None,
-                     help="interferogram CSV with header alpha,power")
-    rec.add_argument("--method", choices=("ft", "bp"), default=None,
-                     help="harmonic inversion (ft) or Basis Pursuit (bp); "
-                          "default bp")
-    rec.add_argument("--baseline", type=float, default=None,
-                     help="baseline subtracted from power (default 1.0)")
-    rec.add_argument("--wrap", action="store_true", default=None,
-                     help="reduce out-of-range delays mod 2*pi")
-    rec.add_argument("--n", type=int, default=None,
-                     help="number of potential modes (default 64)")
-    rec.add_argument("--epsilon", type=float, default=None,
-                     help="BP residual radius (default 1e-9)")
-    rec.add_argument("--rho", type=float, default=None,
-                     help="BP penalty parameter (default 1.0)")
-    rec.add_argument("--max-iters", type=int, default=None,
-                     help="BP iteration cap (default 50000)")
-    rec.add_argument("--nonnegative", action="store_true", default=None,
-                     help="restrict BP to nonnegative weights")
-    rec.add_argument("--zero-threshold", type=float, default=None,
-                     help="snap smaller weights to zero (default 1e-6)")
-
-    diag = subs.add_parser(
-        "diagnose", help="check sensing-ensemble properties")
-    diag.add_argument("--check", choices=("eta", "incoherence", "isotropy"),
-                      default=None, help="which property (default eta)")
-    diag.add_argument("--m", type=int, default=None,
-                      help="measurements per schedule (default 30)")
-    diag.add_argument("--n", type=int, default=None,
-                      help="number of potential modes (default 64)")
-    diag.add_argument("--s", type=int, default=None,
-                      help="sparsity of test vectors (default 4)")
-    diag.add_argument("--samples", type=int, default=None,
-                      help="eta sample count (default 100000)")
-    diag.add_argument("--schedules", type=int, default=None,
-                      help="schedules for incoherence (default 1000)")
-    diag.add_argument("--rows", type=int, default=None,
-                      help="rows for isotropy (default 100000)")
-    diag.add_argument("--redraw-phi", action="store_true", default=None,
-                      help="fresh sensing matrix per eta sample")
-
-    sweep = subs.add_parser(
-        "sweep", help="trace reconstruction error versus measurement count")
-    sweep.add_argument("--n", type=int, default=None,
-                       help="number of potential modes (default 64)")
-    sweep.add_argument("--s-max", type=int, default=None,
-                       help="largest support size drawn (default 4)")
-    sweep.add_argument("--m-values", default=None,
-                       help="comma-separated M values (overrides the range)")
-    sweep.add_argument("--m-min", type=int, default=None,
-                       help="range start (default 5)")
-    sweep.add_argument("--m-max", type=int, default=None,
-                       help="range stop, inclusive (default 50)")
-    sweep.add_argument("--m-step", type=int, default=None,
-                       help="range step (default 5)")
-    sweep.add_argument("--runs", type=int, default=None,
-                       help="draws per M (default 100)")
-    sweep.add_argument("--vectors", type=int, default=None,
-                       help="ground-truth pool size (default: runs)")
-    sweep.add_argument("--threshold", type=float, default=None,
-                       help="mean-error threshold for m_star (default 0.01)")
-    sweep.add_argument("--max-iters", type=int, default=None,
-                       help="BP iteration cap per solve (default 5000)")
-
-    scen = subs.add_parser(
-        "scenario", help="reconstruct builtin beams with both methods")
-    scen.add_argument("--name", default=None,
-                      help="builtin beam name (default hg0)")
-    scen.add_argument("--all", action="store_true", default=None,
-                      help="run every builtin beam")
-    scen.add_argument("--nyquist-m", type=int, default=None,
-                      help="even-grid sample count (default 128)")
-    scen.add_argument("--cs-m", type=int, default=None,
-                      help="random sample count (default 30)")
-    scen.add_argument("--noise-sigma", type=float, default=None,
-                      help="additive Gaussian noise level (default 0)")
-
-    for sub in (sim, rec, diag, sweep, scen):
-        _add_common_flags(sub)
+    for command, schema in _SCHEMAS.items():
+        sub = subs.add_parser(command, help=_COMMANDS[command].help,
+                              argument_default=argparse.SUPPRESS)
+        sub.add_argument("--config", metavar="PATH",
+                         help="JSON config file; flags override its keys")
+        for key, param in {**schema, **_GLOBALS}.items():
+            help_line = param.help
+            if param.default is not None:
+                help_line += f" (default {param.default})"
+            if key == "input":  # recover's interferogram file, the one positional
+                sub.add_argument(key, nargs="?", help=help_line)
+            else:
+                sub.add_argument("--" + key.replace("_", "-"), help=help_line,
+                                 **param.convert.flag)
     return parser
 
 
-def _overrides_from(args: argparse.Namespace) -> dict:
-    skip = {"command", "config"}
-    overrides = {}
-    for key, value in vars(args).items():
-        if key in skip or value is None:
-            continue
-        overrides[key] = value
-    return overrides
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    overrides = vars(_build_parser().parse_args(argv))
+    command = overrides.pop("command")
+    config_path = overrides.pop("config", None)
     try:
-        cfg = parse_config(args.command, config_path=args.config,
-                           overrides=_overrides_from(args))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        output = _HANDLERS[cfg.command](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        cfg = parse_config(command, config_path=config_path, overrides=overrides)
+        output = _COMMANDS[cfg.command].run(cfg)
     except IngestError as exc:
         print(f"ingest error: {exc}", file=sys.stderr)
         return EXIT_INGEST
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         # Domain-layer precondition failures (for example requesting ft on an
         # uneven schedule) are configuration problems from the CLI's view.
         print(f"config error: {exc}", file=sys.stderr)

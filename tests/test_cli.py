@@ -1,5 +1,8 @@
+import argparse
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 
@@ -7,6 +10,8 @@ import numpy as np
 import pytest
 
 from compint.cli import (
+    _GLOBALS,
+    _SCHEMAS,
     EXIT_CONFIG,
     EXIT_INGEST,
     EXIT_IO,
@@ -15,6 +20,7 @@ from compint.cli import (
     CommandOutput,
     ConfigError,
     IngestError,
+    _build_parser,
     emit_result,
     ingest_interferogram,
     main,
@@ -145,6 +151,21 @@ def test_scenario_checks():
     assert cfg.params["all"] is True
 
 
+def test_scenario_all_rejects_explicit_name(tmp_path, capsys):
+    # --all runs every beam, so a name given with it would be dropped
+    with pytest.raises(ConfigError, match="'name'"):
+        parse_config("scenario", overrides={"all": True, "name": "lg1"})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"all": True}))
+    with pytest.raises(ConfigError, match="'name'"):
+        parse_config("scenario", config_path=str(path),
+                     overrides={"name": "hg0"})
+    cfg = parse_config("scenario", overrides={"all": False, "name": "lg1"})
+    assert cfg.params["name"] == "lg1"
+    assert main(["scenario", "--all", "--name", "lg1"]) == EXIT_CONFIG
+    assert "'name'" in capsys.readouterr().err
+
+
 def test_config_file_merging_and_errors(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n": 8, "seed": 5}))
@@ -173,6 +194,47 @@ def test_config_file_merging_and_errors(tmp_path):
 
     with pytest.raises(ConfigError, match="cannot read"):
         parse_config("simulate", config_path=str(tmp_path / "missing.json"))
+
+
+def _subparsers(parser):
+    return next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+def test_parser_matches_schema(capsys):
+    parser = _build_parser()
+    for command, sub in _subparsers(parser).items():
+        keys = {**_SCHEMAS[command], **_GLOBALS}
+        actions = [a for a in sub._actions if a.dest not in ("help", "config")]
+        # exactly one flag per key, named after it
+        assert sorted(a.dest for a in actions) == sorted(keys)
+        for action in actions:
+            key = action.dest
+            if key == "input":
+                assert action.option_strings == []
+                argv, expected = ["file.csv"], "file.csv"
+            else:
+                flag = "--" + key.replace("_", "-")
+                assert action.option_strings == [flag]
+                if action.nargs == 0:
+                    argv, expected = [flag], True
+                elif action.choices:
+                    argv, expected = [flag, action.choices[-1]], action.choices[-1]
+                elif action.type is not None:
+                    argv, expected = [flag, "3"], action.type("3")
+                else:
+                    argv, expected = [flag, "text"], "text"
+            # absent flags leave nothing behind: the namespace is the overrides
+            parsed = vars(parser.parse_args([command, *argv]))
+            assert parsed == {"command": command, key: expected}, (command, key)
+
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for key, param in keys.items():
+            if param.default is not None:
+                assert f"(default {param.default})" in text, (command, key)
 
 
 # ------------------------------------------------------------------ ingestion
@@ -285,6 +347,20 @@ def test_emit_to_file_and_stdout(tmp_path, capsys):
     returned = emit_result({"command": "t"}, out, "json", str(path))
     assert path.read_text() == returned
     assert capsys.readouterr().out == ""
+
+
+def test_out_file_mode_follows_umask(tmp_path):
+    # the file gets the mode a plain open() would give it, not mkstemp's 0600
+    old = os.umask(0o022)
+    try:
+        for umask, mode in ((0o022, 0o644), (0o002, 0o664)):
+            os.umask(umask)
+            path = tmp_path / f"res-{umask:o}.json"
+            assert main(["simulate", "--n", "2", "--m", "4",
+                         "--out", str(path)]) == EXIT_OK
+            assert stat.S_IMODE(path.stat().st_mode) == mode
+    finally:
+        os.umask(old)
 
 
 # ---------------------------------------------------------------- end to end

@@ -114,6 +114,22 @@ def test_eta_ensemble_redraw_changes_distribution():
     assert not np.array_equal(fixed.counts, redrawn.counts)
 
 
+def test_eta_ensemble_mean_matches_conditional_expectation():
+    # For a fixed Phi the mean of eta over sparse Gaussian vectors tends to
+    # E[eta | Phi] = (2/M) mean_n ||phi_n||^2 - 1, which is not 0 in general
+    # (here it reaches 0.064); over redrawn Phi it tends to 0.
+    m, n, s, samples = 30, 64, 4, 4000
+    for seed in range(8):
+        schedule = random_schedule(m, derive_seed(seed, "eta-phi"))
+        columns = sensing_matrix(schedule, n).entries
+        expect = (2.0 / m) * float(np.mean(np.sum(columns ** 2, axis=0))) - 1.0
+        rep = eta_ensemble(m, n, s, samples, seed)
+        assert abs(rep.mean_eta - expect) <= 0.02, (seed, expect)
+    for seed in range(3):
+        rep = eta_ensemble(m, n, s, samples, seed, redraw_phi=True)
+        assert abs(rep.mean_eta) <= 0.02, seed
+
+
 def test_eta_ensemble_validation():
     with pytest.raises(ValueError):
         eta_ensemble(10, 8, 0, 10, seed=0)
