@@ -34,12 +34,11 @@ from ._rng import derive_seed
 from .diagnostics import eta_ensemble, incoherence, isotropy_estimate
 from .experiments import (ScenarioSpec, builtin_scenarios, error_vs_m_sweep,
                           run_scenario, scenario_by_name)
+from .modes import _TWO_PI
 from .recovery import BPOptions, basis_pursuit, ft_recover
 from .sensing import (DelaySchedule, MeasurementVector, ModalSpectrum,
                       ScheduleKind, nyquist_schedule, random_schedule,
                       sample_interferogram, sensing_matrix)
-
-_TWO_PI = 2.0 * math.pi
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -99,6 +98,18 @@ def _reject(key, constraint, raw):
     raise ConfigError(f"key '{key}': expected {constraint}, got {raw!r}")
 
 
+def _coerce(key, constraint, raw, item, kind=float):
+    """kind(item) for one value of `raw`, or a ConfigError naming `key`.
+
+    OverflowError counts too: float() of a JSON integer past 1e308 and int()
+    of a JSON Infinity raise it.
+    """
+    try:
+        return kind(item)
+    except (TypeError, ValueError, OverflowError):
+        _reject(key, constraint, raw)
+
+
 def _integer(constraint, in_range):
     @_flag(type=int)
     def convert(key, raw):
@@ -114,7 +125,7 @@ def _number(constraint, in_range=lambda value: True):
     def convert(key, raw):
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             _reject(key, constraint, raw)
-        value = float(raw)
+        value = _coerce(key, constraint, raw, raw)
         if not math.isfinite(value) or not in_range(value):
             _reject(key, constraint, raw)
         return value
@@ -152,10 +163,7 @@ def _choice(*options):
 
 def _weight(key, item, raw, not_numeric):
     """One nonnegative finite weight of the list or map `raw`."""
-    try:
-        value = float(item)
-    except (TypeError, ValueError):
-        _reject(key, not_numeric, raw)
+    value = _coerce(key, not_numeric, raw, item)
     if isinstance(item, bool) or not math.isfinite(value) or value < 0:
         _reject(key, "nonnegative finite weights", raw)
     return value
@@ -176,21 +184,20 @@ def _weight_list(key, raw):
 def _mode_map(key, raw):
     """{harmonic index: weight}, as a JSON object or 'n=w,n=w' string."""
     if isinstance(raw, str):
-        pairs = {}
+        # A list, not a dict, so that a repeated index reaches the check below.
+        pairs = []
         for part in raw.split(","):
             if "=" not in part:
                 _reject(key, "entries of the form n=weight", raw)
             left, right = part.split("=", 1)
-            pairs[left.strip()] = right.strip()
-        raw = pairs
-    if not isinstance(raw, dict) or len(raw) == 0:
+            pairs.append((left.strip(), right.strip()))
+    elif isinstance(raw, dict) and len(raw) > 0:
+        pairs = raw.items()
+    else:
         _reject(key, "a non-empty map of mode index to weight", raw)
     out = {}
-    for index_raw, weight_raw in raw.items():
-        try:
-            index = int(index_raw)
-        except (TypeError, ValueError):
-            _reject(key, "integer mode indices >= 1", raw)
+    for index_raw, weight_raw in pairs:
+        index = _coerce(key, "integer mode indices >= 1", raw, index_raw, int)
         if index < 1 or index in out:
             _reject(key, "distinct integer mode indices >= 1", raw)
         out[index] = _weight(key, weight_raw, raw, "numeric weights")
@@ -205,10 +212,7 @@ def _int_list(key, raw):
         _reject(key, "a non-empty list of integers >= 1", raw)
     out = []
     for item in raw:
-        try:
-            value = int(item)
-        except (TypeError, ValueError):
-            _reject(key, "integers >= 1", raw)
+        value = _coerce(key, "integers >= 1", raw, item, int)
         if (isinstance(item, bool) or value < 1
                 or isinstance(item, float) and item != value):
             _reject(key, "integers >= 1", raw)
@@ -364,11 +368,10 @@ def _check_sweep(params, explicit):
 
 
 def _check_scenario(params, explicit):
-    names = [s.name for s in builtin_scenarios()]
-    if params["name"] not in names:
-        raise ConfigError(
-            f"key 'name': unknown scenario '{params['name']}'; "
-            "available: " + ", ".join(names))
+    try:
+        scenario_by_name(params["name"])
+    except KeyError as exc:
+        raise ConfigError(f"key 'name': {exc.args[0]}") from None
     if params["all"] and "name" in explicit:
         raise ConfigError("key 'name': mutually exclusive with all")
     if params["cs_m"] > params["nyquist_m"]:
@@ -762,14 +765,11 @@ def _scenario_payload(result) -> dict:
 
 def _run_scenario_cmd(cfg: RunConfig) -> CommandOutput:
     p = cfg.params
-    if p["all"]:
-        names = [s.name for s in builtin_scenarios()]
-    else:
-        names = [p["name"]]
+    specs = builtin_scenarios() if p["all"] else [scenario_by_name(p["name"])]
     results = []
-    for name in names:
+    for preset in specs:
         spec = dataclasses.replace(
-            scenario_by_name(name),
+            preset,
             nyquist_m=p["nyquist_m"],
             cs_m=p["cs_m"],
             noise_sigma=p["noise_sigma"],

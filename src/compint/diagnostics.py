@@ -13,17 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import derive_seed, stream
-from .modes import _readonly
+from .modes import _TWO_PI, _own
 from .sensing import ModalSpectrum, SensingMatrix, random_schedule, sensing_matrix
-
-_TWO_PI = 2.0 * np.pi
 
 # Fixed histogram layout: 101 uniform bins spanning [-1, 1].
 _HIST_BINS = 101
 _HIST_EDGES = np.linspace(-1.0, 1.0, _HIST_BINS + 1)
-
-# Row block size for the isotropy accumulation (memory cap, not a tuning knob).
-_ROW_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -46,16 +41,14 @@ class EtaEnsembleReport:
     clamped_high: int
 
     def __post_init__(self):
-        edges = np.asarray(self.bin_edges, dtype=float).copy()
-        counts = np.asarray(self.counts, dtype=np.int64).copy()
+        edges = _own(self, "bin_edges")
+        counts = _own(self, "counts", np.int64)
         if len(edges) != len(counts) + 1:
             raise ValueError("bin_edges must be one longer than counts")
         if int(counts.sum()) != self.sample_count:
             raise ValueError("histogram counts must sum to sample_count")
         if self.max_abs_eta < abs(self.mean_eta):
             raise ValueError("max_abs_eta cannot be below |mean_eta|")
-        object.__setattr__(self, "bin_edges", _readonly(edges))
-        object.__setattr__(self, "counts", _readonly(counts))
 
 
 @dataclass(frozen=True)
@@ -68,12 +61,11 @@ class IsotropyReport:
     rows_sampled: int
 
     def __post_init__(self):
-        est = np.asarray(self.estimate, dtype=float).copy()
+        est = _own(self, "estimate")
         if est.ndim != 2 or est.shape[0] != est.shape[1]:
             raise ValueError("estimate must be a square matrix")
         if np.max(np.abs(est - est.T)) > 1e-12:
             raise ValueError("estimate must be symmetric (mean of phi^T phi)")
-        object.__setattr__(self, "estimate", _readonly(est))
 
 
 def eta(phi: SensingMatrix, x) -> float:
@@ -145,16 +137,22 @@ def incoherence(phi: SensingMatrix) -> float:
 
 
 def isotropy_from_rows(alphas: np.ndarray, n_modes: int) -> np.ndarray:
-    """Average of phi^T phi over the rows phi = (cos a, cos 2a, ..., cos Na)."""
-    alphas = np.asarray(alphas, dtype=float)
-    harmonics = np.arange(1, n_modes + 1)
-    total = np.zeros((n_modes, n_modes))
-    for start in range(0, len(alphas), _ROW_CHUNK):
-        rows = np.cos(np.outer(alphas[start:start + _ROW_CHUNK], harmonics))
-        total += rows.T @ rows
-    # Blocked matmul need not return a bitwise-symmetric product.
-    total = 0.5 * (total + total.T)
-    return total / len(alphas)
+    """Average of phi^T phi over the rows phi = (cos a, cos 2a, ..., cos Na).
+
+    cos(ja) cos(ka) = [cos((j-k)a) + cos((j+k)a)] / 2, so entry (j, k) is
+    (c[|j-k|] + c[j+k]) / 2 in the harmonic means c[h] = mean cos(ha),
+    h = 0..2N, and the result is symmetric by construction.  c[h] is the mean
+    of Re e^{iha}, with the powers e^{iha} formed by a running product: one
+    complex multiply per row and harmonic.
+    """
+    step = np.exp(1j * np.asarray(alphas, dtype=float))
+    power = np.ones_like(step)
+    means = np.ones(2 * n_modes + 1)
+    for h in range(1, 2 * n_modes + 1):
+        power *= step
+        means[h] = power.real.mean()
+    j = np.arange(1, n_modes + 1)[:, None]
+    return 0.5 * (means[np.abs(j - j.T)] + means[j + j.T])
 
 
 def isotropy_estimate(n_modes: int, rows: int, seed: int) -> IsotropyReport:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import derive_seed, stream
-from .modes import BasisKind, ComplexModalField, ModeBasis, _readonly
+from .modes import BasisKind, ComplexModalField, ModeBasis, _own
 from .recovery import (BPOptions, RecoveryResult, basis_pursuit, ft_recover,
                        reconstruction_error)
 from .sensing import (ModalSpectrum, nyquist_schedule, random_schedule,
@@ -104,9 +104,9 @@ class SweepResult:
     threshold: float
 
     def __post_init__(self):
-        mv = np.asarray(self.m_values, dtype=int).copy()
-        mean = np.asarray(self.mean_error, dtype=float).copy()
-        std = np.asarray(self.std_error, dtype=float).copy()
+        mv = _own(self, "m_values", int)
+        mean = _own(self, "mean_error")
+        std = _own(self, "std_error")
         if not (mv.ndim == mean.ndim == std.ndim == 1):
             raise ValueError("sweep arrays must be 1-D")
         if not (len(mv) == len(mean) == len(std)):
@@ -115,9 +115,6 @@ class SweepResult:
             raise ValueError("error statistics must be nonnegative")
         if self.runs_per_point < 1:
             raise ValueError("runs_per_point must be >= 1")
-        object.__setattr__(self, "m_values", _readonly(mv))
-        object.__setattr__(self, "mean_error", _readonly(mean))
-        object.__setattr__(self, "std_error", _readonly(std))
 
 
 def _unit_coeffs(basis: ModeBasis, entries: dict[int, complex]) -> ComplexModalField:

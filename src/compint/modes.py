@@ -60,8 +60,11 @@ class ModeBasis:
             raise ValueError(f"waist must be positive, got {self.waist}")
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
+def _own(obj, name: str, dtype=float) -> np.ndarray:
+    """Store on frozen `obj` a read-only copy of its field `name`; return it."""
+    arr = np.array(getattr(obj, name), dtype=dtype)
     arr.flags.writeable = False
+    object.__setattr__(obj, name, arr)
     return arr
 
 
@@ -73,8 +76,8 @@ class SampledGrid:
     weights: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float).copy()
-        wts = np.asarray(self.weights, dtype=float).copy()
+        pts = _own(self, "points")
+        wts = _own(self, "weights")
         if pts.ndim != 1 or wts.ndim != 1 or len(pts) != len(wts):
             raise ValueError("points and weights must be 1-D and equal length")
         if len(pts) == 0:
@@ -85,8 +88,6 @@ class SampledGrid:
             raise ValueError("grid points must be strictly increasing")
         if np.any(wts <= 0):
             raise ValueError("quadrature weights must be positive")
-        object.__setattr__(self, "points", _readonly(pts))
-        object.__setattr__(self, "weights", _readonly(wts))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -101,7 +102,7 @@ class ComplexModalField:
     normalized: bool = False
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex).copy()
+        c = _own(self, "coeffs", complex)
         if c.ndim != 1:
             raise ValueError("coeffs must be a 1-D sequence")
         if len(c) != self.basis.max_order:
@@ -114,7 +115,6 @@ class ComplexModalField:
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(
                     f"normalized field must have unit power, got {total}")
-        object.__setattr__(self, "coeffs", _readonly(c))
 
     def mode_weights(self) -> np.ndarray:
         """Modal weights |c_n|^2."""

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modes import _readonly
+from .modes import _own
 from .sensing import (DelaySchedule, MeasurementVector, ModalSpectrum,
-                      ScheduleKind, SensingMatrix, even_alphas, sensing_matrix)
+                      SensingMatrix, even_alphas, sensing_matrix)
 
-# External schedules count as evenly spaced if each alpha_j matches 2*pi*j/M
-# to this absolute tolerance (covers files printed with >= 15 digits).
+# A schedule counts as evenly spaced if each alpha_j is within this of 2*pi*j/M
+# (EVEN_GRID ones exactly; the slack covers files printed with >= 15 digits).
 _EVEN_GRID_TOL = 1e-9
 
 
@@ -82,7 +82,7 @@ class RecoveryResult:
     def __post_init__(self):
         if self.final_residual < 0:
             raise ValueError("final_residual must be >= 0")
-        object.__setattr__(self, "raw", _readonly(np.asarray(self.raw, dtype=float).copy()))
+        _own(self, "raw")
 
 
 def _as_vector(x) -> np.ndarray:
@@ -97,8 +97,6 @@ def _reported_spectrum(raw: np.ndarray, zero_threshold: float) -> ModalSpectrum:
 
 
 def _is_even_grid(schedule: DelaySchedule) -> bool:
-    if schedule.kind is ScheduleKind.EVEN_GRID:
-        return True
     ref = even_alphas(schedule.m)
     return bool(np.max(np.abs(schedule.alphas - ref)) <= _EVEN_GRID_TOL)
 

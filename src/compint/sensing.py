@@ -13,9 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import stream
-from .modes import _readonly
-
-_TWO_PI = 2.0 * np.pi
+from .modes import _TWO_PI, _own
 
 
 @dataclass(frozen=True)
@@ -26,7 +24,7 @@ class ModalSpectrum:
     normalized: bool = False
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).copy()
+        w = _own(self, "weights")
         if w.ndim != 1 or len(w) == 0:
             raise ValueError("weights must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(w)):
@@ -36,7 +34,6 @@ class ModalSpectrum:
         if self.normalized and abs(w.sum() - 1.0) > 1e-9:
             raise ValueError(
                 f"normalized spectrum must sum to 1, got {w.sum()}")
-        object.__setattr__(self, "weights", _readonly(w))
 
     @property
     def n_modes(self) -> int:
@@ -79,7 +76,7 @@ class DelaySchedule:
     seed: int | None = None
 
     def __post_init__(self):
-        a = np.asarray(self.alphas, dtype=float).copy()
+        a = _own(self, "alphas")
         if a.ndim != 1 or len(a) == 0:
             raise ValueError("schedule needs at least one delay value")
         if not np.all(np.isfinite(a)):
@@ -88,7 +85,6 @@ class DelaySchedule:
             raise ValueError("delay values must lie in [0, 2*pi]")
         if self.kind is ScheduleKind.EVEN_GRID and not np.array_equal(a, even_alphas(len(a))):
             raise ValueError("EVEN_GRID schedule must equal 2*pi*j/M, j=0..M-1")
-        object.__setattr__(self, "alphas", _readonly(a))
 
     @property
     def m(self) -> int:
@@ -104,11 +100,10 @@ class SensingMatrix:
     n_modes: int
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
+        e = _own(self, "entries")
         if e.shape != (self.schedule.m, self.n_modes):
             raise ValueError(
                 f"entries shape {e.shape} != ({self.schedule.m}, {self.n_modes})")
-        object.__setattr__(self, "entries", _readonly(e.copy()))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -123,14 +118,13 @@ class MeasurementVector:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).copy()
+        v = _own(self, "values")
         if v.ndim != 1:
             raise ValueError("values must be 1-D")
         if not np.all(np.isfinite(v)):
             raise ValueError("values must be finite")
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        object.__setattr__(self, "values", _readonly(v))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -176,8 +170,6 @@ def sample_interferogram(x: ModalSpectrum, schedule: DelaySchedule,
     (seed, "measurement-noise"), so identical (x, schedule, sigma, seed) give
     bit-identical vectors.
     """
-    if noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
     y = sensing_matrix(schedule, x.n_modes).entries @ x.weights
     if noise_sigma > 0:
         y = y + stream(seed, "measurement-noise").normal(0.0, noise_sigma, schedule.m)

@@ -2,8 +2,8 @@
 
 These deliberately avoid the package's own code paths: brute-force support
 enumeration for l1 minimization, direct summation for harmonic projection,
-closed-form mode functions via scipy.special, and a Cholesky-based ADMM loop
-for Basis Pursuit.
+closed-form mode functions via scipy.special, a Cholesky-based ADMM loop
+for Basis Pursuit, and an explicit cosine table for the isotropy estimate.
 """
 import itertools
 import math
@@ -128,3 +128,21 @@ def admm_reference(a, yv, opts):
                 converged = True
                 break
     return z, iterations, converged
+
+
+def isotropy_reference(alphas, n_modes):
+    """Mean of phi^T phi over cosine rows, from the rows themselves.
+
+    Builds the rows cos(n a), n = 1..N, in blocks of 65 536, accumulates
+    rows^T rows and symmetrizes the sum, since a blocked matmul need not
+    return a bitwise-symmetric product.
+    """
+    chunk = 1 << 16
+    alphas = np.asarray(alphas, dtype=float)
+    harmonics = np.arange(1, n_modes + 1)
+    total = np.zeros((n_modes, n_modes))
+    for start in range(0, len(alphas), chunk):
+        rows = np.cos(np.outer(alphas[start:start + chunk], harmonics))
+        total += rows.T @ rows
+    total = 0.5 * (total + total.T)
+    return total / len(alphas)

@@ -117,6 +117,34 @@ def test_mode_map_shapes():
         parse_config("simulate", overrides={"modes": {"0": 1.0}})
 
 
+def test_mode_map_rejects_repeated_index_in_string(capsys):
+    with pytest.raises(ConfigError, match="'modes'"):
+        parse_config("simulate", overrides={"modes": "2=0.5,2=0.3", "n": 4})
+    assert main(["simulate", "--modes", "2=0.5,2=0.3", "--n", "4"]) == EXIT_CONFIG
+    assert "key 'modes'" in capsys.readouterr().err
+
+
+_HUGE = "1" + "0" * 400  # a JSON integer past the float range
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("recover", '{"rho": %s}' % _HUGE, "rho"),
+    ("simulate", '{"weights": [%s]}' % _HUGE, "weights"),
+    ("simulate", '{"modes": {"1": %s}}' % _HUGE, "modes"),
+    ("sweep", '{"m_values": [Infinity]}', "m_values"),
+], ids=["number", "weight-list", "mode-weight", "int-list"])
+def test_out_of_range_json_numbers_exit_config(tmp_path, capsys, command,
+                                               config, key):
+    # float() of the integer and int() of Infinity raise OverflowError
+    path = tmp_path / "cfg.json"
+    path.write_text(config)
+    argv = [command, "--config", str(path)]
+    if command == "recover":
+        argv.insert(1, str(tmp_path / "in.csv"))
+    assert main(argv) == EXIT_CONFIG
+    assert f"config error: key '{key}'" in capsys.readouterr().err
+
+
 def test_recover_requires_input():
     with pytest.raises(ConfigError, match="'input'"):
         parse_config("recover")

@@ -20,6 +20,8 @@ from compint.sensing import (
     sensing_matrix,
 )
 
+from oracles import isotropy_reference
+
 
 # ----------------------------------------------------------------- eta values
 
@@ -181,6 +183,19 @@ def test_isotropy_exact_on_even_grid():
     est = isotropy_from_rows(alphas, 8)
     assert np.max(np.abs(est - 0.5 * np.eye(8))) < 1e-14
     assert np.array_equal(est, est.T)
+
+
+@pytest.mark.parametrize("n_modes", [1, 8, 64, 256])
+@pytest.mark.parametrize("rows", [1, 7, 70001])
+def test_isotropy_matches_cosine_table_reference(n_modes, rows):
+    # the harmonic-mean form against the explicit rows; both ends of [0, 2*pi]
+    # are among the delays (a single row is 2*pi alone)
+    alphas = stream(rows, "isotropy-oracle").uniform(0.0, 2.0 * np.pi, rows)
+    alphas[0] = 0.0
+    alphas[-1] = 2.0 * np.pi
+    est = isotropy_from_rows(alphas, n_modes)
+    assert np.array_equal(est, est.T)
+    assert np.max(np.abs(est - isotropy_reference(alphas, n_modes))) <= 1e-13
 
 
 def test_isotropy_single_row():
