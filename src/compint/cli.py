@@ -110,12 +110,23 @@ def _coerce(key, constraint, raw, item, kind=float):
         _reject(key, constraint, raw)
 
 
-def _integer(constraint, in_range):
+# Counts size numpy arrays, which cannot hold more than np.intp elements.
+_MAX_COUNT = int(np.iinfo(np.intp).max)
+
+
+def _at_most(key, high, value, raw):
+    """`value`, or a ConfigError naming `key` if it exceeds `high`."""
+    if value > high:
+        _reject(key, f"at most {high}", raw)
+    return value
+
+
+def _integer(constraint, in_range, high=math.inf):
     @_flag(type=int)
     def convert(key, raw):
         if isinstance(raw, bool) or not isinstance(raw, int) or not in_range(raw):
             _reject(key, constraint, raw)
-        return raw
+        return _at_most(key, high, raw, raw)
     return convert
 
 
@@ -132,7 +143,7 @@ def _number(constraint, in_range=lambda value: True):
     return convert
 
 
-_COUNT = _integer("an integer >= 1", lambda value: value >= 1)
+_COUNT = _integer("an integer >= 1", lambda value: value >= 1, _MAX_COUNT)
 _FINITE = _number("a finite number")
 _NONNEGATIVE = _number("a number >= 0.0", lambda value: value >= 0)
 _POSITIVE = _number("a number > 0", lambda value: value > 0)
@@ -216,7 +227,7 @@ def _int_list(key, raw):
         if (isinstance(item, bool) or value < 1
                 or isinstance(item, float) and item != value):
             _reject(key, "integers >= 1", raw)
-        out.append(value)
+        out.append(_at_most(key, _MAX_COUNT, value, raw))
     return out
 
 
@@ -528,12 +539,8 @@ class CommandOutput:
 
 
 def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

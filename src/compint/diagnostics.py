@@ -14,7 +14,7 @@ import numpy as np
 
 from ._rng import derive_seed, stream
 from .modes import _TWO_PI, _own
-from .sensing import ModalSpectrum, SensingMatrix, random_schedule, sensing_matrix
+from .sensing import SensingMatrix, _as_vector, random_schedule, sensing_matrix
 
 # Fixed histogram layout: 101 uniform bins spanning [-1, 1].
 _HIST_BINS = 101
@@ -73,7 +73,7 @@ def eta(phi: SensingMatrix, x) -> float:
 
     x may be a ModalSpectrum or any (possibly signed) vector of length N.
     """
-    v = x.weights if isinstance(x, ModalSpectrum) else np.asarray(x, dtype=float)
+    v = _as_vector(x)
     norm2 = float(v @ v)
     if norm2 == 0.0:
         raise ValueError("eta is undefined for the zero vector")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import derive_seed, stream
-from .modes import BasisKind, ComplexModalField, ModeBasis, _own
+from .modes import BasisKind, ComplexModalField, ModeBasis, _own_vector
 from .recovery import (BPOptions, RecoveryResult, basis_pursuit, ft_recover,
                        reconstruction_error)
 from .sensing import (ModalSpectrum, nyquist_schedule, random_schedule,
@@ -104,11 +104,9 @@ class SweepResult:
     threshold: float
 
     def __post_init__(self):
-        mv = _own(self, "m_values", int)
-        mean = _own(self, "mean_error")
-        std = _own(self, "std_error")
-        if not (mv.ndim == mean.ndim == std.ndim == 1):
-            raise ValueError("sweep arrays must be 1-D")
+        mv = _own_vector(self, "m_values", int)
+        mean = _own_vector(self, "mean_error")
+        std = _own_vector(self, "std_error")
         if not (len(mv) == len(mean) == len(std)):
             raise ValueError("sweep arrays must have equal length")
         if np.any(mean < 0) or np.any(std < 0):
@@ -163,8 +161,7 @@ def scenario_by_name(name: str) -> ScenarioSpec:
     raise KeyError(f"unknown scenario {name!r}; available: {known}")
 
 
-def run_scenario(spec: ScenarioSpec,
-                 opts: BPOptions = BPOptions()) -> ScenarioResult:
+def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Reconstruct one scenario with both methods and score the results.
 
     Harmonic inversion sees the full even grid; Basis Pursuit sees cs_m
@@ -181,7 +178,7 @@ def run_scenario(spec: ScenarioSpec,
     phi = sensing_matrix(cs, truth.n_modes)
     y_cs = sample_interferogram(truth, cs, spec.noise_sigma,
                                 derive_seed(spec.seed, "scenario-measure"))
-    bp = basis_pursuit(phi, y_cs, opts)
+    bp = basis_pursuit(phi, y_cs)
 
     return ScenarioResult(
         spec=spec,

@@ -68,6 +68,16 @@ def _own(obj, name: str, dtype=float) -> np.ndarray:
     return arr
 
 
+def _own_vector(obj, name: str, dtype=float) -> np.ndarray:
+    """`_own`, for a field that must be a non-empty, finite 1-D array."""
+    arr = _own(obj, name, dtype)
+    if arr.ndim != 1 or len(arr) == 0:
+        raise ValueError(f"{name} must be a non-empty 1-D sequence")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
 @dataclass(frozen=True)
 class SampledGrid:
     """Quadrature nodes and weights discretizing the transverse integral."""
@@ -76,14 +86,10 @@ class SampledGrid:
     weights: np.ndarray
 
     def __post_init__(self):
-        pts = _own(self, "points")
-        wts = _own(self, "weights")
-        if pts.ndim != 1 or wts.ndim != 1 or len(pts) != len(wts):
-            raise ValueError("points and weights must be 1-D and equal length")
-        if len(pts) == 0:
-            raise ValueError("grid must contain at least one point")
-        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(wts))):
-            raise ValueError("grid points and weights must be finite")
+        pts = _own_vector(self, "points")
+        wts = _own_vector(self, "weights")
+        if len(pts) != len(wts):
+            raise ValueError("points and weights must have equal length")
         if np.any(np.diff(pts) <= 0):
             raise ValueError("grid points must be strictly increasing")
         if np.any(wts <= 0):
@@ -102,14 +108,10 @@ class ComplexModalField:
     normalized: bool = False
 
     def __post_init__(self):
-        c = _own(self, "coeffs", complex)
-        if c.ndim != 1:
-            raise ValueError("coeffs must be a 1-D sequence")
+        c = _own_vector(self, "coeffs", complex)
         if len(c) != self.basis.max_order:
             raise ValueError(
                 f"expected {self.basis.max_order} coefficients, got {len(c)}")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
         if self.normalized:
             total = float(np.sum(np.abs(c) ** 2))
             if abs(total - 1.0) > 1e-9:
@@ -257,8 +259,6 @@ def field_interferogram(field: ComplexModalField, alpha: float,
     normalized field this equals 1 + sum_n |c_n|^2 cos(n*alpha) up to
     quadrature error.
     """
-    if not np.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
     if grid is None:
         grid = default_grid(field.basis)
     ref = synthesize(field, grid)

@@ -14,11 +14,15 @@ import numpy as np
 
 from .modes import _own
 from .sensing import (DelaySchedule, MeasurementVector, ModalSpectrum,
-                      SensingMatrix, even_alphas, sensing_matrix)
+                      SensingMatrix, _as_vector, even_alphas, sensing_matrix)
 
 # A schedule counts as evenly spaced if each alpha_j is within this of 2*pi*j/M
 # (EVEN_GRID ones exactly; the slack covers files printed with >= 15 digits).
 _EVEN_GRID_TOL = 1e-9
+
+# ADMM's relative stopping tolerance (Boyd et al. 2011, section 3.3.1): the
+# primal and dual residuals are also compared with 1e-6 times the iterates.
+_REL_TOL = 1e-6
 
 
 class InsufficientSamplingError(ValueError):
@@ -44,7 +48,6 @@ class BPOptions:
     residual_epsilon: float = 1e-9
     penalty_rho: float = 1.0
     abs_tol: float = 1e-8
-    rel_tol: float = 1e-6
     max_iters: int = 50000
     nonnegative: bool = False
     zero_threshold: float = 1e-6
@@ -54,8 +57,8 @@ class BPOptions:
             raise ValueError("residual_epsilon must be >= 0")
         if self.penalty_rho <= 0:
             raise ValueError("penalty_rho must be > 0")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be > 0")
+        if self.abs_tol <= 0:
+            raise ValueError("abs_tol must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.zero_threshold < 0:
@@ -85,12 +88,6 @@ class RecoveryResult:
         _own(self, "raw")
 
 
-def _as_vector(x) -> np.ndarray:
-    if isinstance(x, ModalSpectrum):
-        return x.weights
-    return np.asarray(x, dtype=float)
-
-
 def _reported_spectrum(raw: np.ndarray, zero_threshold: float) -> ModalSpectrum:
     snapped = np.where(np.abs(raw) < zero_threshold, 0.0, raw)
     return ModalSpectrum(np.maximum(snapped, 0.0))
@@ -108,8 +105,6 @@ def ft_recover(y: MeasurementVector, schedule: DelaySchedule, n_modes: int) -> R
     exactly), where sum_j cos^2(n a_j) = M instead of M/2 and w_n = 1/M.
     Exact on noiseless even-grid data with M >= 2N.
     """
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     if not _is_even_grid(schedule):
         raise ValueError("ft_recover requires an evenly spaced schedule")
     m = schedule.m
@@ -190,11 +185,11 @@ def basis_pursuit(phi: SensingMatrix, y: MeasurementVector,
         r = xa - zw
         u += r
 
-        eps_pri = eps_pri_abs + opts.rel_tol * max(np.linalg.norm(xa), np.linalg.norm(zw))
+        eps_pri = eps_pri_abs + _REL_TOL * max(np.linalg.norm(xa), np.linalg.norm(zw))
         # The dual side costs two more matvecs: only once the primal test passes.
         if np.linalg.norm(r) <= eps_pri:
             dual = rho * np.linalg.norm(b @ (zw - zw_prev))
-            eps_dual = eps_dual_abs + opts.rel_tol * rho * np.linalg.norm(b @ u)
+            eps_dual = eps_dual_abs + _REL_TOL * rho * np.linalg.norm(b @ u)
             if dual <= eps_dual and np.linalg.norm(a @ z - yv) <= eps + opts.abs_tol:
                 converged = True
                 break

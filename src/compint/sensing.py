@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import stream
-from .modes import _TWO_PI, _own
+from .modes import _TWO_PI, _own, _own_vector
 
 
 @dataclass(frozen=True)
@@ -24,11 +24,7 @@ class ModalSpectrum:
     normalized: bool = False
 
     def __post_init__(self):
-        w = _own(self, "weights")
-        if w.ndim != 1 or len(w) == 0:
-            raise ValueError("weights must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
+        w = _own_vector(self, "weights")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         if self.normalized and abs(w.sum() - 1.0) > 1e-9:
@@ -56,6 +52,13 @@ class ModalSpectrum:
         return cls(w, normalized=normalized)
 
 
+def _as_vector(x) -> np.ndarray:
+    """The weights of a ModalSpectrum, or any other vector as floats."""
+    if isinstance(x, ModalSpectrum):
+        return x.weights
+    return np.asarray(x, dtype=float)
+
+
 class ScheduleKind(enum.Enum):
     EVEN_GRID = "even"
     UNIFORM_RANDOM = "random"
@@ -76,11 +79,7 @@ class DelaySchedule:
     seed: int | None = None
 
     def __post_init__(self):
-        a = _own(self, "alphas")
-        if a.ndim != 1 or len(a) == 0:
-            raise ValueError("schedule needs at least one delay value")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("delay values must be finite")
+        a = _own_vector(self, "alphas")
         if np.any(a < 0) or np.any(a > _TWO_PI):
             raise ValueError("delay values must lie in [0, 2*pi]")
         if self.kind is ScheduleKind.EVEN_GRID and not np.array_equal(a, even_alphas(len(a))):
@@ -118,11 +117,7 @@ class MeasurementVector:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        v = _own(self, "values")
-        if v.ndim != 1:
-            raise ValueError("values must be 1-D")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite")
+        _own_vector(self, "values")
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 

@@ -96,6 +96,7 @@ def admm_reference(a, yv, opts):
     u1 = np.zeros(n)
     u2 = np.zeros(m)
     kappa = 1.0 / rho
+    rel_tol = 1e-6  # basis_pursuit's fixed relative stopping tolerance
     sqrt_nm = np.sqrt(n + m)
     sqrt_n = np.sqrt(n)
 
@@ -119,10 +120,10 @@ def admm_reference(a, yv, opts):
 
         pri = np.sqrt(np.sum((x - z) ** 2) + np.sum((ax - w) ** 2))
         dual = rho * np.linalg.norm((z - z_prev) + a.T @ (w - w_prev))
-        eps_pri = sqrt_nm * opts.abs_tol + opts.rel_tol * max(
+        eps_pri = sqrt_nm * opts.abs_tol + rel_tol * max(
             np.sqrt(np.sum(x ** 2) + np.sum(ax ** 2)),
             np.sqrt(np.sum(z ** 2) + np.sum(w ** 2)))
-        eps_dual = sqrt_n * opts.abs_tol + opts.rel_tol * rho * np.linalg.norm(u1 + a.T @ u2)
+        eps_dual = sqrt_n * opts.abs_tol + rel_tol * rho * np.linalg.norm(u1 + a.T @ u2)
         if pri <= eps_pri and dual <= eps_dual:
             if np.linalg.norm(a @ z - yv) <= eps + opts.abs_tol:
                 converged = True

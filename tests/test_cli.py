@@ -132,7 +132,12 @@ _HUGE = "1" + "0" * 400  # a JSON integer past the float range
     ("simulate", '{"weights": [%s]}' % _HUGE, "weights"),
     ("simulate", '{"modes": {"1": %s}}' % _HUGE, "modes"),
     ("sweep", '{"m_values": [Infinity]}', "m_values"),
-], ids=["number", "weight-list", "mode-weight", "int-list"])
+    # past np.intp, where numpy can neither convert nor allocate
+    ("sweep", '{"m_values": [1e300]}', "m_values"),
+    ("simulate", '{"m": %s}' % 10 ** 30, "m"),
+    ("diagnose", '{"samples": %s}' % 10 ** 30, "samples"),
+], ids=["number", "weight-list", "mode-weight", "int-list", "int-list-intp",
+        "count-intp", "samples-intp"])
 def test_out_of_range_json_numbers_exit_config(tmp_path, capsys, command,
                                                config, key):
     # float() of the integer and int() of Infinity raise OverflowError
@@ -143,6 +148,39 @@ def test_out_of_range_json_numbers_exit_config(tmp_path, capsys, command,
         argv.insert(1, str(tmp_path / "in.csv"))
     assert main(argv) == EXIT_CONFIG
     assert f"config error: key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("simulate", '{"noise_sigma": "loud"}', "noise_sigma"),
+    ("recover", '{"input": "in.csv", "epsilon": -1}', "epsilon"),
+    ("recover", '{"input": "in.csv", "wrap": "yes"}', "wrap"),
+    ("simulate", '{"scenario": 5}', "scenario"),
+    ("simulate", '{"n": null}', "n"),
+    ("simulate", '{"weights": [0.5, -0.5]}', "weights"),
+    ("simulate", '{"weights": []}', "weights"),
+    ("simulate", '{"modes": {}}', "modes"),
+    ("sweep", '{"m_values": []}', "m_values"),
+    ("sweep", '{"m_values": [2.5]}', "m_values"),
+], ids=["number-type", "number-range", "bool-type", "string-type",
+        "null-with-default", "negative-weight", "empty-weights", "empty-modes",
+        "empty-m-values", "fractional-m-value"])
+def test_rejected_json_values_exit_config(tmp_path, capsys, command, config,
+                                          key):
+    path = tmp_path / "cfg.json"
+    path.write_text(config)
+    assert main([command, "--config", str(path)]) == EXIT_CONFIG
+    assert f"config error: key '{key}'" in capsys.readouterr().err
+
+
+def test_json_null_leaves_none_default_unset(tmp_path):
+    # null for a key whose default is None is the same as leaving it out
+    path = tmp_path / "cfg.json"
+    path.write_text('{"m": null, "weights": null, "scenario": null}')
+    assert (parse_config("simulate", config_path=str(path)).params
+            == parse_config("simulate").params)
+    path.write_text('{"vectors": null, "m_values": null}')
+    assert (parse_config("sweep", config_path=str(path)).params
+            == parse_config("sweep").params)
 
 
 def test_recover_requires_input():
@@ -377,6 +415,17 @@ def test_emit_to_file_and_stdout(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_failed_rename_removes_partial_file(tmp_path, capsys):
+    # --out naming a directory lets the temp file be written but not renamed
+    target = tmp_path / "target"
+    target.mkdir()
+    assert main(["simulate", "--n", "2", "--m", "4",
+                 "--out", str(target)]) == EXIT_IO
+    assert "output error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["target"]
+    assert list(target.iterdir()) == []
+
+
 def test_out_file_mode_follows_umask(tmp_path):
     # the file gets the mode a plain open() would give it, not mkstemp's 0600
     old = os.umask(0o022)
@@ -411,6 +460,15 @@ def test_simulate_defaults_payload(capsys):
     assert body["data"]["powers"][0] == 2.0
     assert body["data"]["true_weights"] == [1.0, 0.0, 0.0, 0.0]
     assert len(body["data"]["alphas"]) == 8
+
+
+def test_simulate_weights_payload(capsys):
+    body = run_json(["simulate", "--weights", "0.25,0.75", "--m", "8"], capsys)
+    assert body["meta"]["parameters"]["n"] == 2
+    assert body["data"]["n"] == 2
+    assert body["data"]["true_weights"] == [0.25, 0.75]
+    # P(0) = 1 + sum of the weights
+    assert body["data"]["powers"][0] == 2.0
 
 
 def test_simulate_then_recover_ft(tmp_path, capsys):

@@ -1,0 +1,156 @@
+"""Invariants of the sensing model and the config parser over many inputs.
+
+Hypothesis draws the inputs.  It is derandomized and keeps no example
+database, so every run checks the same cases.
+"""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from compint.cli import _GLOBALS, _SCHEMAS, ConfigError, parse_config
+from compint.recovery import BPOptions, basis_pursuit, ft_recover
+from compint.sensing import (DelaySchedule, MeasurementVector, ModalSpectrum,
+                             ScheduleKind, nyquist_schedule, random_schedule,
+                             sample_interferogram, sensing_matrix)
+
+_PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                     max_examples=30)
+
+# A solve that does not converge stops here, after about 60 ms at N = 64.
+_CAP = 2000
+
+_MAX_COUNT = int(np.iinfo(np.intp).max)
+
+
+def _rel_diff(value, reference):
+    return np.linalg.norm(value - reference) / np.linalg.norm(reference)
+
+
+def _weights(draw, n, max_support):
+    """A length-n x >= 0 with 1..max_support entries in [0.05, 1]."""
+    support = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                            max_size=max_support, unique=True))
+    x = np.zeros(n)
+    x[support] = draw(st.lists(st.floats(0.05, 1.0), min_size=len(support),
+                               max_size=len(support)))
+    return x
+
+
+@st.composite
+def _sparse_problems(draw):
+    """(Phi, x): N <= 64 modes, M <= 50 random delays, at most 4 nonzeros."""
+    n = draw(st.integers(4, 64))
+    schedule = random_schedule(draw(st.integers(3, 50)),
+                               draw(st.integers(0, 2 ** 32 - 1)))
+    return sensing_matrix(schedule, n), _weights(draw, n, 4)
+
+
+@st.composite
+def _nyquist_problems(draw):
+    """(schedule, x): an even grid of M >= 2N delays, N <= 32, any x >= 0."""
+    n = draw(st.integers(1, 32))
+    schedule = nyquist_schedule(draw(st.integers(2 * n, 2 * n + 16)))
+    return schedule, _weights(draw, n, n)
+
+
+@_PROPERTY
+@given(_sparse_problems(), st.floats(0.01, 100.0))
+def test_bp_scale_equivariance(problem, c):
+    # x solves the program for (y, eps) exactly when c x solves it for
+    # (c y, c eps); the stopping rule is not scaled, hence the tolerance
+    phi, x = problem
+    y = phi.entries @ x
+    eps = BPOptions().residual_epsilon
+    base = basis_pursuit(phi, MeasurementVector(y), BPOptions(max_iters=_CAP))
+    scaled = basis_pursuit(phi, MeasurementVector(c * y),
+                           BPOptions(residual_epsilon=c * eps, max_iters=_CAP))
+    if base.converged and scaled.converged:
+        assert _rel_diff(scaled.raw, c * base.raw) <= 1e-5
+
+
+@_PROPERTY
+@given(_sparse_problems(), st.data())
+def test_bp_row_permutation_invariance(problem, data):
+    phi, x = problem
+    perm = np.array(data.draw(st.permutations(range(phi.shape[0]))))
+    y = phi.entries @ x
+    shuffled = DelaySchedule(phi.schedule.alphas[perm], ScheduleKind.EXTERNAL)
+    opts = BPOptions(max_iters=_CAP)
+    res = basis_pursuit(phi, MeasurementVector(y), opts)
+    res_shuffled = basis_pursuit(sensing_matrix(shuffled, len(x)),
+                                 MeasurementVector(y[perm]), opts)
+    assert _rel_diff(res_shuffled.raw, res.raw) <= 1e-9
+
+
+@_PROPERTY
+@given(_sparse_problems(), st.sampled_from([0.0, 0.01]),
+       st.sampled_from([1e-9, 0.05]), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_converged_bp_is_feasible(problem, sigma, eps, nonnegative, seed):
+    phi, x = problem
+    y = sample_interferogram(ModalSpectrum(x), phi.schedule, sigma, seed)
+    opts = BPOptions(residual_epsilon=eps, nonnegative=nonnegative,
+                     max_iters=_CAP)
+    res = basis_pursuit(phi, y, opts)
+    if res.converged:
+        assert np.linalg.norm(phi.entries @ res.raw - y.values) <= eps + opts.abs_tol
+
+
+@_PROPERTY
+@given(_nyquist_problems())
+def test_ft_equals_bp_on_nyquist_data(problem):
+    # with M >= 2N even delays Phi has full column rank, so x is the only
+    # feasible point of the noiseless program
+    schedule, x = problem
+    phi = sensing_matrix(schedule, len(x))
+    y = MeasurementVector(phi.entries @ x)
+    ft = ft_recover(y, schedule, len(x))
+    bp = basis_pursuit(phi, y)
+    assert bp.converged
+    assert _rel_diff(bp.raw, ft.raw) <= 1e-6
+
+
+# Integers are drawn small or past np.intp.  Counts in between are valid and
+# are left out: numpy would try to allocate them, and parse_config itself
+# expands sweep's m_min..m_max range into a list.
+_INTEGERS = (st.integers(-1000, 1000) | st.integers(min_value=_MAX_COUNT + 1)
+             | st.integers(max_value=-_MAX_COUNT - 2))
+_SCALARS = (st.none() | st.booleans() | _INTEGERS | st.floats()
+            | st.text(max_size=8)
+            | st.from_regex(r"[0-9=,.e-]{1,12}", fullmatch=True))
+# Scalars on their own as well, since st.recursive mostly draws containers.
+_JSON = _SCALARS | st.recursive(
+    _SCALARS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=4), children,
+                                        max_size=4)),
+    max_leaves=6)
+
+
+@st.composite
+def _configs(draw):
+    """(command, {key: value}): one key of the command, any JSON value."""
+    command = draw(st.sampled_from(sorted(_SCHEMAS)))
+    key = draw(st.sampled_from(sorted({**_SCHEMAS[command], **_GLOBALS})))
+    return command, {key: draw(_JSON)}
+
+
+def _integers_in(value):
+    if isinstance(value, dict):
+        value = [*value, *value.values()]
+    if isinstance(value, list):
+        return [i for item in value for i in _integers_in(item)]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return [value]
+    return []
+
+
+@settings(_PROPERTY, max_examples=200)
+@given(_configs())
+def test_parse_config_accepts_or_raises_config_error(config):
+    command, overrides = config
+    try:
+        cfg = parse_config(command, overrides=overrides)
+    except ConfigError:
+        return
+    assert all(abs(i) <= _MAX_COUNT for i in _integers_in(cfg.params))

@@ -49,3 +49,45 @@ def test_array_fields_are_owned_and_read_only(cls, arrays, others):
         np.testing.assert_array_equal(stored, before)
         with pytest.raises(ValueError):
             stored.flat[0] = 0
+
+
+# (type, vector field, other fields): the other fields are valid and sized to
+# match a 2-element vector, so the rejection comes from the vector field.
+_VECTOR_CASES = [
+    (SampledGrid, "points", {"weights": [0.5, 0.5]}),
+    (SampledGrid, "weights", {"points": [0.0, 1.0]}),
+    (ComplexModalField, "coeffs",
+     {"basis": ModeBasis(BasisKind.HERMITE_GAUSS_1D, 2)}),
+    (ModalSpectrum, "weights", {}),
+    (DelaySchedule, "alphas", {"kind": ScheduleKind.EXTERNAL}),
+    (MeasurementVector, "values", {}),
+    (SweepResult, "m_values",
+     {"mean_error": [0.1, 0.01], "std_error": [0.05, 0.0],
+      "runs_per_point": 2, "m_star": 10, "threshold": 0.05}),
+    (SweepResult, "mean_error",
+     {"m_values": [5, 10], "std_error": [0.05, 0.0],
+      "runs_per_point": 2, "m_star": 10, "threshold": 0.05}),
+    (SweepResult, "std_error",
+     {"m_values": [5, 10], "mean_error": [0.1, 0.01],
+      "runs_per_point": 2, "m_star": 10, "threshold": 0.05}),
+]
+
+_BAD_VECTORS = {
+    "2-D": np.ones((2, 2)),
+    "empty": np.array([]),
+    "non-finite": np.array([np.nan, 1.0]),
+}
+
+
+_VECTOR_PARAMS = [
+    pytest.param(cls, name, others, bad, id=f"{cls.__name__}.{name}-{bad}")
+    for cls, name, others in _VECTOR_CASES for bad in _BAD_VECTORS
+    # an integer array cannot hold a non-finite value
+    if not (name == "m_values" and bad == "non-finite")
+]
+
+
+@pytest.mark.parametrize("cls, name, others, bad", _VECTOR_PARAMS)
+def test_vector_fields_must_be_nonempty_finite_1d(cls, name, others, bad):
+    with pytest.raises(ValueError, match=name):
+        cls(**{name: _BAD_VECTORS[bad]}, **others)
