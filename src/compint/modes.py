@@ -80,12 +80,18 @@ def _own_vector(obj, name: str, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SampledGrid:
-    """Quadrature nodes and weights discretizing the transverse integral."""
+    """Quadrature nodes and weights discretizing the transverse integral.
+
+    Each grid also keeps the mode tables built on it (see `mode_table`), in a
+    dict that is not a dataclass field, so `repr` and `dataclasses.replace`
+    ignore it and a replaced grid starts empty.
+    """
 
     points: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "_tables", {})
         pts = _own_vector(self, "points")
         wts = _own_vector(self, "weights")
         if len(pts) != len(wts):
@@ -138,7 +144,7 @@ def default_grid(basis: ModeBasis, points: int = _DEFAULT_POINTS) -> SampledGrid
     same grid again, e.g. by calling `field_interferogram` without a grid at
     several delays, computes the Gauss-Legendre nodes (far dearer than one
     field evaluation) only once.  A SampledGrid is immutable, so callers can
-    share one.
+    share one; a shared grid also shares the mode tables built on it.
     """
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
@@ -191,14 +197,24 @@ def _lg_radial_table(r: np.ndarray, n_max: int, waist: float) -> np.ndarray:
 
 
 def mode_table(basis: ModeBasis, grid: SampledGrid, n_max: int | None = None) -> np.ndarray:
-    """len(grid) x n_max matrix whose column n-1 is psi_n sampled on grid."""
+    """len(grid) x n_max matrix whose column n-1 is psi_n sampled on grid.
+
+    The full basis.max_order table is built once per basis and memoised on
+    the grid; it is read-only, and the first n_max columns are returned as a
+    view of it.  Each column of the recurrence depends only on the two before
+    it, so the view equals an n_max-column build bit for bit.
+    """
     if n_max is None:
         n_max = basis.max_order
     if not 1 <= n_max <= basis.max_order:
         raise IndexError(f"mode count {n_max} outside 1..{basis.max_order}")
-    if basis.kind is BasisKind.HERMITE_GAUSS_1D:
-        return _hg_table(grid.points, n_max, basis.waist)
-    return _lg_radial_table(grid.points, n_max, basis.waist)
+    table = grid._tables.get(basis)
+    if table is None:
+        build = _hg_table if basis.kind is BasisKind.HERMITE_GAUSS_1D else _lg_radial_table
+        table = build(grid.points, basis.max_order, basis.waist)
+        table.flags.writeable = False
+        grid._tables[basis] = table
+    return table[:, :n_max]
 
 
 def mode_function(basis: ModeBasis, n: int, grid: SampledGrid) -> np.ndarray:
@@ -247,7 +263,9 @@ def delay_kernel(basis: ModeBasis, alpha: float, grid: SampledGrid) -> np.ndarra
 
 def synthesize(field: ComplexModalField, grid: SampledGrid) -> np.ndarray:
     """Sampled field E(x) = sum_n c_n psi_n(x) on the grid."""
-    return mode_table(field.basis, grid) @ field.coeffs
+    table, c = mode_table(field.basis, grid), field.coeffs
+    # Two real products: `table @ c` would first cast the whole table to complex.
+    return table @ c.real + 1j * (table @ c.imag)
 
 
 def field_interferogram(field: ComplexModalField, alpha: float,

@@ -165,7 +165,9 @@ def sample_interferogram(x: ModalSpectrum, schedule: DelaySchedule,
     (seed, "measurement-noise"), so identical (x, schedule, sigma, seed) give
     bit-identical vectors.
     """
-    y = sensing_matrix(schedule, x.n_modes).entries @ x.weights
+    # Overflow is left to MeasurementVector's finite check, which names it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = sensing_matrix(schedule, x.n_modes).entries @ x.weights
     if noise_sigma > 0:
         y = y + stream(seed, "measurement-noise").normal(0.0, noise_sigma, schedule.m)
     return MeasurementVector(y, noise_sigma=noise_sigma)

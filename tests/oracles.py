@@ -147,3 +147,8 @@ def isotropy_reference(alphas, n_modes):
         total += rows.T @ rows
     total = 0.5 * (total + total.T)
     return total / len(alphas)
+
+
+def synthesize_reference(table, coeffs):
+    """Sampled field table @ c with the real mode table cast to complex."""
+    return np.asarray(table, dtype=complex) @ np.asarray(coeffs, dtype=complex)

@@ -664,6 +664,18 @@ def test_module_entry_point():
     assert body["data"]["powers"][0] == 2.0
 
 
+def test_overflowing_weights_give_one_error_line():
+    # the overflowing product must reach the finite check without a numpy
+    # RuntimeWarning; a fresh process shows whatever reaches stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "compint", "simulate", "--weights",
+         "1e308,1e308", "--m", "4"],
+        capture_output=True, text=True)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stdout == ""
+    assert proc.stderr == "config error: values must be finite\n"
+
+
 def test_import_does_not_load_scipy():
     # numpy is the only runtime dependency; scipy would slow every cold start
     proc = subprocess.run(

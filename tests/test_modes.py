@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from compint import modes
 from compint.modes import (
     BasisKind,
     ComplexModalField,
@@ -17,7 +20,7 @@ from compint.modes import (
 )
 from compint.sensing import ModalSpectrum, analytic_interferogram
 
-from oracles import hermite_gauss, laguerre_gauss_radial
+from oracles import hermite_gauss, laguerre_gauss_radial, synthesize_reference
 
 
 def trapezoid_grid(lo, hi, points):
@@ -122,6 +125,86 @@ def test_adequate_grid_does_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         mode_function(basis, 20, default_grid(basis))
+
+
+# ------------------------------------------------------------ mode table memo
+
+
+_BUILDERS = {BasisKind.HERMITE_GAUSS_1D: "_hg_table",
+             BasisKind.LAGUERRE_GAUSS_RADIAL: "_lg_radial_table"}
+
+
+def fresh_grid(basis):
+    # the default grid's nodes in a new SampledGrid, which holds no tables yet
+    grid = default_grid(basis)
+    return SampledGrid(grid.points, grid.weights)
+
+
+def count_builds(monkeypatch):
+    builds = []
+    for name in _BUILDERS.values():
+        def counted(points, n_max, waist, _build=getattr(modes, name)):
+            builds.append(n_max)
+            return _build(points, n_max, waist)
+        monkeypatch.setattr(modes, name, counted)
+    return builds
+
+
+@pytest.mark.parametrize("kind", list(BasisKind))
+def test_mode_table_built_once_per_grid_and_basis(kind, monkeypatch):
+    basis = ModeBasis(kind, 16)
+    builds = count_builds(monkeypatch)
+    field = ComplexModalField(basis, np.linspace(1.0, 2.0, 16) + 0.5j)
+    grid = fresh_grid(basis)
+    for alpha in np.linspace(0.0, 6.0, 10):
+        field_interferogram(field, float(alpha), grid)
+    assert builds == [16]
+    builds.clear()
+    grid = fresh_grid(basis)
+    for n in range(1, 17):
+        mode_function(basis, n, grid)
+    assert builds == [16]   # one full table, not 16 of growing width
+
+
+@pytest.mark.parametrize("kind", list(BasisKind))
+def test_mode_table_is_read_only(kind):
+    basis = ModeBasis(kind, 8)
+    grid = fresh_grid(basis)
+    for table in (mode_table(basis, grid), mode_table(basis, grid, 3)):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("kind", list(BasisKind))
+def test_mode_table_columns_match_a_direct_build(kind):
+    basis = ModeBasis(kind, 64)
+    grid = fresh_grid(basis)
+    build = getattr(modes, _BUILDERS[kind])
+    for k in (1, 5, 64):
+        assert np.array_equal(mode_table(basis, grid, k),
+                              build(grid.points, k, basis.waist))
+
+
+@pytest.mark.parametrize("kind", list(BasisKind))
+def test_mode_tables_are_kept_per_grid_and_per_basis(kind):
+    basis = ModeBasis(kind, 8)
+    grid, twin = fresh_grid(basis), fresh_grid(basis)
+    table = mode_table(basis, grid)
+    assert not np.shares_memory(table, mode_table(basis, twin))
+    wider = mode_table(ModeBasis(kind, 8, waist=2.0), grid)
+    assert not np.shares_memory(table, wider)
+    assert not np.array_equal(table, wider)
+    longer = mode_table(ModeBasis(kind, 12), grid)
+    assert longer.shape == (len(grid), 12)
+    assert not np.shares_memory(table, longer)
+    assert np.array_equal(longer[:, :8], table)
+    # the memo is no dataclass field: repr omits it and a replaced grid
+    # starts with none of the original's tables
+    assert repr(grid).startswith("SampledGrid(points=array(")
+    assert "_tables" not in repr(grid)
+    copy = dataclasses.replace(grid)
+    np.testing.assert_array_equal(copy.points, grid.points)
+    assert not np.shares_memory(mode_table(basis, copy), table)
 
 
 # ------------------------------------------------------------------ dataclasses
@@ -264,6 +347,21 @@ def test_two_mode_destructive_point():
     c[2] = np.sqrt(0.5)
     field = ComplexModalField(basis, c, normalized=True)
     assert abs(field_interferogram(field, np.pi)) < 1e-10
+
+
+@pytest.mark.parametrize("kind", list(BasisKind))
+@pytest.mark.parametrize("n", [1, 8, 64])
+def test_synthesize_matches_complex_product(kind, n):
+    basis = ModeBasis(kind, n)
+    grid = default_grid(basis)
+    rng = np.random.default_rng(29 + n)
+    for _ in range(5):
+        field = ComplexModalField(
+            basis, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        got = synthesize(field, grid)
+        ref = synthesize_reference(mode_table(basis, grid), field.coeffs)
+        assert got.dtype == complex
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_zero_field_rejected():
