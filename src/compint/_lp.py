@@ -1,0 +1,119 @@
+"""Linear programs min 1^T x s.t. A x = b, x >= 0, by an interior-point method.
+
+Mehrotra's (1992) predictor-corrector method on the homogeneous self-dual
+embedding, which also detects infeasibility (Xu, Hung & Ye 1996; Andersen &
+Andersen 2000, whose stopping rules of section 4.5 are used).  NumPy only:
+each step solves the normal equations A diag(x/s) A^T with np.linalg.solve,
+once for the predictor and once for the corrector.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+# Tolerance on the relative residuals and duality gap, the fraction of the
+# way to the boundary that each step goes, and the step length below which a
+# solve has stalled.
+TOL = 1e-8
+_STEP_FRACTION = 0.99995
+_MIN_STEP = 1e-12
+
+
+def solve(a: np.ndarray, b: np.ndarray, max_steps: int):
+    """min 1^T x s.t. a x = b, x >= 0, for `a` with independent rows.
+
+    Starts from x = s = 1, lam = 0, tau = kappa = 1, where s are the dual
+    slacks 1 - a^T lam and tau, kappa the embedding's scalars.  Returns
+    (x, s, lam, steps), the last iterate divided by tau; x is None when the
+    program is infeasible or the iterate is not finite.  The solve stops when
+    the relative residuals and gap fall below TOL, and also on a singular or
+    non-finite step, a step shorter than _MIN_STEP, or max_steps steps.
+    """
+    m, n = a.shape
+    x, s, lam = np.ones(n), np.ones(n), np.zeros(m)
+    tau = kappa = 1.0
+    rp_scale = max(1.0, float(np.linalg.norm(b - a.sum(axis=1))))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for steps in range(max_steps + 1):
+            rp = b * tau - a @ x
+            rd = tau - a.T @ lam - s
+            primal, dual = x.sum(), b @ lam
+            rg = kappa + primal - dual
+            mu = (x @ s + tau * kappa) / (n + 1)
+            if ((np.linalg.norm(rp) <= TOL * rp_scale and np.linalg.norm(rd) <= TOL
+                 and abs(primal - dual) <= TOL * (tau + abs(dual)))
+                    or steps == max_steps):
+                break
+            if tau <= TOL * min(1.0, kappa) and mu <= TOL:
+                return None, None, None, steps
+            d = x / s
+            k = (a * d) @ a.T
+            # The direction is affine in dtau: (dx, dlam) = (u, v) + dtau (p, q),
+            # where (p, q) solves the Newton system for (1, b) and (u, v) for
+            # the residuals.  Predictor and (p, q) share one solve.
+            try:
+                (p, u), (q, v) = _newton(a, d, k, np.stack((np.ones(n), rd + s)),
+                                         np.stack((b, rp)))
+            except np.linalg.LinAlgError:
+                break
+            denominator = b @ q - p.sum() + kappa / tau
+
+            def direction(u, v, rg_hat, rxs, rtk):
+                dtau = (rg_hat + rtk / tau + u.sum() - b @ v) / denominator
+                dx = u + p * dtau
+                return dx, v + q * dtau, (rxs - s * dx) / x, dtau, (rtk - kappa * dtau) / tau
+
+            affine = direction(u, v, rg, -x * s, -tau * kappa)
+            dx, _, ds, dtau, dkappa = affine
+            alpha = _step_length(x, s, tau, kappa, affine)
+            mu_affine = ((x + alpha * dx) @ (s + alpha * ds)
+                         + (tau + alpha * dtau) * (kappa + alpha * dkappa)) / (n + 1)
+            gamma = (mu_affine / mu) ** 3
+            eta = 1.0 - gamma
+            rxs = gamma * mu - x * s - dx * ds
+            rtk = gamma * mu - tau * kappa - dtau * dkappa
+            try:
+                (u,), (v,) = _newton(a, d, k, [eta * rd - rxs / x], [eta * rp])
+            except np.linalg.LinAlgError:
+                break
+            step = direction(u, v, eta * rg, rxs, rtk)
+            if not all(np.all(np.isfinite(part)) for part in step):
+                break
+            alpha = _STEP_FRACTION * _step_length(x, s, tau, kappa, step)
+            if alpha < _MIN_STEP:
+                break
+            dx, dlam, ds, dtau, dkappa = step
+            x = x + alpha * dx
+            s = s + alpha * ds
+            lam = lam + alpha * dlam
+            tau += alpha * dtau
+            kappa += alpha * dkappa
+        x, s, lam = x / tau, s / tau, lam / tau
+    if not all(np.all(np.isfinite(v)) for v in (x, s, lam)):
+        return None, None, None, steps
+    return x, s, lam, steps
+
+
+def _newton(a, d, k, r1, r2):
+    """Rows u_i, v_i with -u_i / d + a^T v_i = r1_i and a u_i = r2_i.
+
+    Solves the normal equations k v_i = r2_i + a (d r1_i), k = a diag(d) a^T.
+    Near the optimum d spans many orders of magnitude, and when fewer than
+    M entries of x stay large, k can be singular in floating point; then the
+    augmented system [-diag(1/d) a^T; a 0], which is not, is solved instead.
+    """
+    r1, r2 = np.asarray(r1), np.asarray(r2)
+    try:
+        v = np.linalg.solve(k, (r2 + (r1 * d) @ a.T).T).T
+        return d * (v @ a - r1), v
+    except np.linalg.LinAlgError:
+        m, n = a.shape
+        kkt = np.block([[np.diag(-1.0 / d), a.T], [a, np.zeros((m, m))]])
+        uv = np.linalg.solve(kkt, np.hstack((r1, r2)).T).T
+        return uv[:, :n], uv[:, n:]
+
+
+def _step_length(x, s, tau, kappa, step) -> float:
+    """Longest alpha <= 1 that keeps x, s, tau and kappa nonnegative."""
+    dx, _, ds, dtau, dkappa = step
+    shrink = -min(np.min(dx / x), np.min(ds / s), dtau / tau, dkappa / kappa)
+    return 1.0 if shrink <= 1.0 else 1.0 / shrink

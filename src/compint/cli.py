@@ -260,9 +260,10 @@ _SCHEMAS = {
         "epsilon": _Param(_default(BPOptions, "residual_epsilon"), _NONNEGATIVE,
                           "BP residual radius"),
         "rho": _Param(_default(BPOptions, "penalty_rho"), _POSITIVE,
-                      "BP penalty parameter"),
+                      "ADMM penalty parameter, used only when epsilon > "
+                      f"{_default(BPOptions, 'abs_tol'):g}"),
         "max_iters": _Param(_default(BPOptions, "max_iters"), _COUNT,
-                            "BP iteration cap"),
+                            "cap on BP solver steps"),
         "nonnegative": _Param(_default(BPOptions, "nonnegative"), _bool,
                               "restrict BP to nonnegative weights"),
         "zero_threshold": _Param(_default(BPOptions, "zero_threshold"),
@@ -293,7 +294,7 @@ _SCHEMAS = {
         "threshold": _Param(_default(error_vs_m_sweep, "threshold"), _POSITIVE,
                             "mean-error threshold for m_star"),
         "max_iters": _Param(_default(error_vs_m_sweep, "opts").max_iters,
-                            _COUNT, "BP iteration cap per solve"),
+                            _COUNT, "cap on BP solver steps per solve"),
     },
     "scenario": {
         "name": _Param("hg0", _string, "builtin beam name"),

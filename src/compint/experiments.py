@@ -19,10 +19,6 @@ from .recovery import (BPOptions, RecoveryResult, basis_pursuit, ft_recover,
 from .sensing import (ModalSpectrum, nyquist_schedule, random_schedule,
                       sample_interferogram, sensing_matrix)
 
-# Non-converging solves at small M should exit in milliseconds, not minutes;
-# converged solves stop far earlier so the cap does not affect them.
-_SWEEP_BP_OPTIONS = BPOptions(max_iters=5000)
-
 _FIELD_WEIGHT_TOL = 1e-9
 
 
@@ -215,7 +211,7 @@ def random_sparse_spectrum(n_modes: int, support_size: int, seed: int) -> ModalS
 def error_vs_m_sweep(n_modes: int, s_max: int, m_values, runs: int,
                      vectors: int | None = None, seed: int = 0,
                      threshold: float = 0.01,
-                     opts: BPOptions = _SWEEP_BP_OPTIONS) -> SweepResult:
+                     opts: BPOptions = BPOptions()) -> SweepResult:
     """BP reconstruction error versus measurement count M.
 
     Draws a pool of `vectors` ground-truth spectra (support size uniform on

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lp
 from .modes import _own
 from .sensing import (DelaySchedule, MeasurementVector, ModalSpectrum,
                       SensingMatrix, _as_vector, even_alphas, sensing_matrix)
@@ -23,6 +24,10 @@ _EVEN_GRID_TOL = 1e-9
 # ADMM's relative stopping tolerance (Boyd et al. 2011, section 3.3.1): the
 # primal and dual residuals are also compared with 1e-6 times the iterates.
 _REL_TOL = 1e-6
+
+# A row of Phi counts as dependent on others when the squared norm of its part
+# outside their span is below this fraction of the largest squared row norm.
+_RANK_TOL = 1e-12
 
 
 class InsufficientSamplingError(ValueError):
@@ -38,11 +43,15 @@ class Method(enum.Enum):
 class BPOptions:
     """Basis Pursuit solver configuration.
 
-    residual_epsilon is the data-fidelity radius ||Phi x - y||_2 <= eps; the
-    default 1e-9 approximates the equality-constrained program.  Set
-    nonnegative to restrict the search to x >= 0.  Entries of the solution
-    smaller in magnitude than zero_threshold are snapped to 0 in the reported
-    spectrum (the raw solution is kept alongside).
+    residual_epsilon is the data-fidelity radius ||Phi x - y||_2 <= eps.
+    Up to abs_tol, the feasibility tolerance of every solve, the program is
+    the equality-constrained one, a linear program solved by an interior-point
+    method; the default 1e-9 selects it.  Noisy data need a radius matched to
+    the noise, which ADMM solves with penalty penalty_rho.  max_iters caps
+    interior-point steps or ADMM iterations.  Set nonnegative to restrict the
+    search to x >= 0.  Entries of the solution smaller in magnitude than
+    zero_threshold are snapped to 0 in the reported spectrum (the raw
+    solution is kept alongside).
     """
 
     residual_epsilon: float = 1e-9
@@ -130,6 +139,137 @@ def basis_pursuit(phi: SensingMatrix, y: MeasurementVector,
                   opts: BPOptions = BPOptions()) -> RecoveryResult:
     """Solve min ||x||_1 subject to ||Phi x - y||_2 <= residual_epsilon.
 
+    With residual_epsilon <= abs_tol the epsilon-ball is smaller than the
+    solver's own feasibility tolerance, so the program is the equality
+    constrained one, a linear program solved exactly by `_exact_bp`.  Larger
+    radii are solved by ADMM (`_admm`).  `iterations` counts interior-point
+    steps or ADMM iterations, up to max_iters.
+
+    A converged result always satisfies ||Phi z - y||_2 <= epsilon + abs_tol.
+    Non-convergence (infeasible data, a stall, or the iteration cap) is
+    reported through converged=False, never raised; `raw` is finite either
+    way, and nonnegative when opts.nonnegative is set.
+    """
+    a = phi.entries
+    m = a.shape[0]
+    if len(y) != m:
+        raise ValueError(f"measurement length {len(y)} != matrix rows {m}")
+    yv = y.values
+    eps = opts.residual_epsilon
+    solve = _exact_bp if eps <= opts.abs_tol else _admm
+    z, iterations, converged = solve(a, yv, opts)
+    residual = float(np.linalg.norm(a @ z - yv))
+    return RecoveryResult(
+        spectrum=_reported_spectrum(z, opts.zero_threshold),
+        iterations=iterations,
+        final_residual=residual,
+        converged=converged and residual <= eps + opts.abs_tol,
+        method=Method.BP,
+        raw=z,
+    )
+
+
+def _exact_bp(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
+    """Noiseless Basis Pursuit as a linear program: (z, steps, optimal).
+
+    min 1^T (p + q) s.t. Phi (p - q) = y, p, q >= 0, with z = p - q (Chen,
+    Donoho & Saunders 1998); with `nonnegative`, min 1^T x s.t. Phi x = y,
+    x >= 0.  Each interior-point step solves with Phi diag(p/s_p + q/s_q)
+    Phi^T.  Data inside the epsilon-ball around 0 give z = 0 at step 1, and
+    infeasible data z = 0 with optimal=False.  The last iterate is refit by
+    least squares on its support (`_polish`).  `optimal` is a certificate:
+    by weak duality, the dual iterate scaled into the dual feasible set bounds
+    the optimum from below, and ||z||_1 must be within _lp.TOL of that bound.
+    """
+    n = a.shape[1]
+    if np.linalg.norm(yv) <= opts.residual_epsilon:
+        return np.zeros(n), 1, True
+    keep = _independent_rows(a)
+    rows, rhs = a[keep], yv[keep]
+    lp_a = rows if opts.nonnegative else np.hstack((rows, -rows))
+    # The program is solved for data scaled to max |y| = 1, where the solver's
+    # relative tolerances and its start at x = 1 fit every data scale alike.
+    scale = np.max(np.abs(yv))
+    x, s, lam, steps = _lp.solve(lp_a, rhs / scale, opts.max_iters)
+    if x is None:
+        return np.zeros(n), steps, False
+    # An entry is on the support where its primal value exceeds its dual slack.
+    support = x > s
+    x = scale * x
+    if not opts.nonnegative:
+        x = x[:n] - x[n:]
+        support = support[:n] | support[n:]
+    z = _polish(a, yv, x, support)
+    l1 = float(np.sum(np.abs(z)))
+    bound = float(rhs @ lam) / max(1.0, float(np.max(lp_a.T @ lam)))
+    return z, steps, l1 - bound <= _lp.TOL * (1.0 + l1)
+
+
+def _independent_rows(a: np.ndarray) -> np.ndarray:
+    """A mask of linearly independent rows of Phi.
+
+    Interior-point steps solve with Phi_R D Phi_R^T over the kept rows R,
+    which is singular when rows are dependent: always when M > N, and when
+    two delays repeat or mirror each other (alpha and 2 pi - alpha give the
+    same row).  All rows are kept when the Cholesky factor of Phi Phi^T has
+    no squared pivot below _RANK_TOL times the largest squared row norm.
+    Otherwise rows are picked by Gram-Schmidt with pivoting, while the best
+    remaining row keeps more than that outside the span of those picked.  The
+    dropped equations nearly follow from the kept ones, and the residual test
+    checks them all.
+    """
+    m, n = a.shape
+    norms = (a * a).sum(axis=1)
+    floor = _RANK_TOL * np.max(norms)
+    if m <= n:
+        try:
+            if np.min(np.diagonal(np.linalg.cholesky(a @ a.T))) ** 2 > floor:
+                return np.ones(m, dtype=bool)
+        except np.linalg.LinAlgError:
+            pass
+    rest = a.copy()
+    keep = np.zeros(m, dtype=bool)
+    for _ in range(min(m, n)):
+        j = int(np.argmax(norms))
+        if norms[j] <= floor:
+            break
+        q = rest[j] / np.sqrt(norms[j])
+        rest -= np.outer(rest @ q, q)
+        norms = (rest * rest).sum(axis=1)
+        keep[j] = True
+    return keep
+
+
+def _polish(a: np.ndarray, yv: np.ndarray, z: np.ndarray, support: np.ndarray):
+    """z refit by least squares on `support`, where that keeps its signs.
+
+    Entries off the support become exact zeros and the residual falls to
+    round-off.  The fit solves the normal equations of the support's columns
+    and refines the solution once against the residual, which recovers the
+    accuracy that squaring their condition number loses.  Where the equations
+    are singular, or the fit flips a sign, fits y worse or raises ||z||_1 by
+    more than _lp.TOL, z is returned unchanged.
+    """
+    cols = a[:, support]
+    gram = cols.T @ cols
+    try:
+        fit = np.linalg.solve(gram, cols.T @ yv)
+        fit += np.linalg.solve(gram, cols.T @ (yv - cols @ fit))
+    except np.linalg.LinAlgError:
+        return z
+    polished = np.zeros_like(z)
+    polished[support] = fit
+    l1 = np.sum(np.abs(z))
+    if (np.all(np.isfinite(fit)) and np.array_equal(np.sign(fit), np.sign(z[support]))
+            and np.linalg.norm(a @ polished - yv) <= np.linalg.norm(a @ z - yv)
+            and np.sum(np.abs(fit)) <= l1 + _lp.TOL * (1.0 + l1)):
+        return polished
+    return z
+
+
+def _admm(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
+    """Basis Pursuit for epsilon > abs_tol by ADMM: (z, iterations, converged).
+
     ADMM splitting: x carries the quadratic coupling, z the l1 proximal step
     (soft thresholding, one-sided if nonnegative), and w the projection onto
     the epsilon-ball around y:
@@ -144,14 +284,9 @@ def basis_pursuit(phi: SensingMatrix, y: MeasurementVector,
     x = G ((z, w) - (u1, u2)), so an iteration costs O(N (N + M)).
 
     Stops when the standard primal/dual residual criteria hold and the z
-    iterate itself is feasible to within abs_tol, so a converged result always
-    satisfies ||Phi z - y||_2 <= epsilon + abs_tol.  Non-convergence within
-    max_iters is reported through converged=False, never raised.
+    iterate itself is feasible to within abs_tol.
     """
-    a = phi.entries
     m, n = a.shape
-    if len(y) != m:
-        raise ValueError(f"measurement length {len(y)} != matrix rows {m}")
     rho = opts.penalty_rho
     eps = opts.residual_epsilon
     b = np.hstack((np.eye(n), a.T))
@@ -161,7 +296,6 @@ def basis_pursuit(phi: SensingMatrix, y: MeasurementVector,
     zw = np.zeros(n + m)
     u = np.zeros(n + m)
     xa = np.empty(n + m)
-    yv = y.values
     kappa = 1.0 / rho
     eps_pri_abs = np.sqrt(n + m) * opts.abs_tol
     eps_dual_abs = np.sqrt(n) * opts.abs_tol
@@ -193,16 +327,7 @@ def basis_pursuit(phi: SensingMatrix, y: MeasurementVector,
             if dual <= eps_dual and np.linalg.norm(a @ z - yv) <= eps + opts.abs_tol:
                 converged = True
                 break
-
-    residual = float(np.linalg.norm(a @ z - yv))
-    return RecoveryResult(
-        spectrum=_reported_spectrum(z, opts.zero_threshold),
-        iterations=iterations,
-        final_residual=residual,
-        converged=converged,
-        method=Method.BP,
-        raw=z,
-    )
+    return z, iterations, converged
 
 
 def reconstruction_error(reference, estimate) -> float:

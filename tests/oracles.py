@@ -80,7 +80,7 @@ def laguerre_gauss_radial(r, p, waist=1.0):
 def admm_reference(a, yv, opts):
     """Basis Pursuit by ADMM with a cached Cholesky x-update.
 
-    Same arithmetic and stopping rule as `compint.recovery.basis_pursuit`,
+    Same arithmetic and stopping rule as `compint.recovery._admm`,
     written the long way: every iteration solves the x-update by
     back-substitution and computes both residuals.  Returns
     (z, iterations, converged).

@@ -97,6 +97,19 @@ def test_converged_bp_is_feasible(problem, sigma, eps, nonnegative, seed):
 
 
 @_PROPERTY
+@given(_sparse_problems(), st.sampled_from([0.0, 0.01]), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_exact_bp_raw_is_finite(problem, sigma, nonnegative, seed):
+    # noisy data are often infeasible at the default epsilon; the solver
+    # must still return a finite raw, nonnegative under `nonnegative`
+    phi, x = problem
+    y = sample_interferogram(ModalSpectrum(x), phi.schedule, sigma, seed)
+    res = basis_pursuit(phi, y, BPOptions(nonnegative=nonnegative))
+    assert np.all(np.isfinite(res.raw))
+    assert not nonnegative or np.all(res.raw >= 0.0)
+
+
+@_PROPERTY
 @given(_nyquist_problems())
 def test_ft_equals_bp_on_nyquist_data(problem):
     # with M >= 2N even delays Phi has full column rank, so x is the only

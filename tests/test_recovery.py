@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from compint import recovery
 from compint.recovery import (
     BPOptions,
     InsufficientSamplingError,
@@ -165,17 +167,174 @@ def _equivalence_problems():
 def test_bp_matches_reference_admm_loop():
     # The precomputed x-update and the deferred dual test compute the same
     # iterates as the Cholesky loop, so iteration counts and the convergence
-    # flag must match exactly.
+    # flag must match exactly.  basis_pursuit runs that loop for eps > abs_tol.
     converged = 0
     for phi, y, opts in _equivalence_problems():
-        res = basis_pursuit(phi, y, opts)
-        z, iterations, ok = admm_reference(phi.entries, y.values, opts)
-        assert res.iterations == iterations
-        assert res.converged == ok
-        np.testing.assert_allclose(res.raw, z, rtol=0.0, atol=1e-9)
+        raw, iterations, ok = recovery._admm(phi.entries, y.values, opts)
+        z, ref_iterations, ref_ok = admm_reference(phi.entries, y.values, opts)
+        assert iterations == ref_iterations
+        assert ok == ref_ok
+        np.testing.assert_allclose(raw, z, rtol=0.0, atol=1e-9)
         converged += ok
+        if opts.residual_epsilon > opts.abs_tol:
+            res = basis_pursuit(phi, y, opts)
+            np.testing.assert_array_equal(res.raw, raw)
+            assert (res.iterations, res.converged) == (iterations, ok)
     # both outcomes are exercised
     assert 0 < converged < 60
+
+
+def _lp_problems():
+    """100 seeded problems for the exact solver: N in {8, 16, 64}, M in 3..60
+    (some M > N), signed and nonnegative programs, sigma in {0, 0.01}, and
+    1..4 nonzeros of either sign, so that many nonnegative and noisy M > N
+    programs are infeasible."""
+    for i in range(100):
+        rng = np.random.default_rng(5000 + i)
+        n = (8, 16, 64)[i % 3]
+        m = int(rng.integers(3, 61))
+        nonnegative = bool((i // 3) % 2)
+        sigma = (0.0, 0.01)[(i // 6) % 2]
+        s = int(rng.integers(1, 5))
+        x = np.zeros(n)
+        x[rng.choice(n, s, replace=False)] = (rng.uniform(0.1, 1.0, s)
+                                              * rng.choice([-1.0, 1.0], s))
+        phi = sensing_matrix(random_schedule(m, seed=5000 + i), n)
+        y = MeasurementVector(phi.entries @ x + sigma * rng.standard_normal(m))
+        yield phi, y, nonnegative, sigma
+
+
+def test_bp_matches_highs_linear_program():
+    # HiGHS solves the same LP.  The l1 optimum moves with y by at most the
+    # dual norm times the change, so the two values may also differ by the
+    # dual norm times the residuals that each solver allows.
+    converged = infeasible = 0
+    for phi, y, nonnegative, sigma in _lp_problems():
+        a = phi.entries
+        lp_a = a if nonnegative else np.hstack((a, -a))
+        ref = linprog(np.ones(lp_a.shape[1]), A_eq=lp_a, b_eq=y.values,
+                      bounds=(0, None), method="highs")
+        assert ref.status in (0, 2)
+        opts = BPOptions(nonnegative=nonnegative)
+        res = basis_pursuit(phi, y, opts)
+        assert np.all(np.isfinite(res.raw))
+        assert not nonnegative or np.all(res.raw >= 0.0)
+        if ref.status == 2:
+            assert not res.converged
+            infeasible += 1
+        elif res.converged:
+            allowed = opts.residual_epsilon + opts.abs_tol
+            assert res.final_residual <= allowed
+            slack = ((allowed + np.linalg.norm(lp_a @ ref.x - y.values))
+                     * np.linalg.norm(ref.eqlin.marginals))
+            assert abs(np.abs(res.raw).sum() - ref.fun) <= 1e-8 + slack
+            converged += 1
+        else:
+            # sparse noiseless data and the signed program always converge
+            assert nonnegative or sigma > 0
+    assert converged > 0 and infeasible > 0
+
+
+def test_exact_bp_support_is_exact():
+    # the refit on the support leaves exact zeros elsewhere and a residual
+    # far below epsilon + abs_tol
+    for i in range(20):
+        rng = np.random.default_rng(700 + i)
+        s = int(rng.integers(1, 5))
+        x = np.zeros(64)
+        x[rng.choice(64, s, replace=False)] = rng.dirichlet(np.ones(s))
+        phi = sensing_matrix(random_schedule(30, seed=800 + i), 64)
+        res = basis_pursuit(phi, MeasurementVector(phi.entries @ x))
+        assert res.converged
+        np.testing.assert_array_equal(res.raw != 0.0, x != 0.0)
+        assert res.final_residual <= 1e-12
+
+
+def test_exact_bp_more_delays_than_modes():
+    # Phi Phi^T is singular when M > N: noiseless data are still solved
+    # exactly, and noisy data cannot be fit at epsilon <= abs_tol
+    truth = np.array([0.0, 0.6, 0.0, 0.4, 0.0])
+    for sched in (random_schedule(12, seed=4), nyquist_schedule(16)):
+        phi = sensing_matrix(sched, 5)
+        res = basis_pursuit(phi, MeasurementVector(phi.entries @ truth))
+        assert res.converged
+        np.testing.assert_allclose(res.raw, truth, rtol=0.0, atol=1e-12)
+        noisy = sample_interferogram(ModalSpectrum(truth), sched, 0.01, seed=5)
+        res = basis_pursuit(phi, noisy)
+        assert not res.converged
+        assert np.all(np.isfinite(res.raw))
+
+
+def test_exact_bp_repeated_and_mirrored_delays():
+    # a repeated delay and a delay mirrored about pi give dependent rows
+    alphas = random_schedule(10, seed=6).alphas
+    alphas = np.concatenate((alphas, [alphas[0], 2.0 * np.pi - alphas[1]]))
+    phi = sensing_matrix(DelaySchedule(alphas, ScheduleKind.EXTERNAL), 16)
+    truth = np.zeros(16)
+    truth[[2, 9]] = [0.7, 0.3]
+    y = phi.entries @ truth
+    res = basis_pursuit(phi, MeasurementVector(y))
+    assert res.converged
+    np.testing.assert_allclose(res.raw, truth, rtol=0.0, atol=1e-12)
+    y[-1] += 0.01
+    res = basis_pursuit(phi, MeasurementVector(y))
+    assert not res.converged
+    assert np.all(np.isfinite(res.raw))
+
+
+def test_exact_bp_singular_normal_equations():
+    # With two delays 3e-5 apart, the normal equations of the last steps can
+    # be singular in floating point, as they are for these two schedules;
+    # the step then solves the augmented system instead.
+    truth = np.zeros(8)
+    truth[[2, 3, 7]] = [-0.45, -0.96, 0.14]
+    for seed in (1, 26):
+        alphas = random_schedule(8, seed=seed).alphas.copy()
+        alphas[1] = alphas[0] + 3e-5
+        phi = sensing_matrix(DelaySchedule(alphas, ScheduleKind.EXTERNAL), 8)
+        res = basis_pursuit(phi, MeasurementVector(phi.entries @ truth))
+        assert res.converged
+        np.testing.assert_allclose(res.raw, truth, rtol=0.0, atol=1e-12)
+
+
+def test_exact_bp_detects_infeasible_nonnegative_data():
+    # the row of delay 0 is all ones, so x >= 0 cannot fit y_0 < 0
+    alphas = np.concatenate(([0.0], random_schedule(7, seed=8).alphas))
+    phi = sensing_matrix(DelaySchedule(alphas, ScheduleKind.EXTERNAL), 16)
+    y = np.ones(8)
+    y[0] = -1.0
+    opts = BPOptions(nonnegative=True)
+    res = basis_pursuit(phi, MeasurementVector(y), opts)
+    assert not res.converged
+    assert res.iterations < 50
+    assert np.all(np.isfinite(res.raw)) and np.all(res.raw >= 0.0)
+
+
+def test_exact_bp_is_scale_free():
+    # the data are scaled to max |y| = 1 before the solve, so the solution
+    # scales with y; the absolute residual test fails only where round-off
+    # alone exceeds abs_tol
+    phi = sensing_matrix(random_schedule(10, seed=3), 16)
+    truth = np.zeros(16)
+    truth[[5, 12]] = [0.7, -0.2]
+    for c, converged in ((1e-8, True), (1e6, True), (1e150, False)):
+        res = basis_pursuit(phi, MeasurementVector(c * (phi.entries @ truth)))
+        assert res.converged == converged
+        np.testing.assert_allclose(res.raw / c, truth, rtol=0.0, atol=1e-12)
+
+
+def test_exact_bp_converged_needs_optimality():
+    # after two steps the refit already fits y exactly, but the dual bound
+    # does not yet prove ||z||_1 optimal
+    phi = sensing_matrix(random_schedule(10, seed=3), 16)
+    truth = np.zeros(16)
+    truth[5] = 0.7
+    y = MeasurementVector(phi.entries @ truth)
+    early = basis_pursuit(phi, y, BPOptions(max_iters=2))
+    assert early.iterations == 2
+    assert early.final_residual <= 1e-12
+    assert not early.converged
+    assert basis_pursuit(phi, y).converged
 
 
 def test_bp_converged_implies_feasible():
