@@ -112,6 +112,10 @@ def _coerce(key, constraint, raw, item, kind=float):
 
 # Counts size numpy arrays, which cannot hold more than np.intp elements.
 _MAX_COUNT = int(np.iinfo(np.intp).max)
+# The sweep's m_min..m_max range is expanded into a list while parsing; every
+# value costs `runs` solves, so a range past a million values would never
+# finish, and bounding it keeps the list below about 40 MB.
+_MAX_SWEEP_POINTS = 10 ** 6
 
 
 def _at_most(key, high, value, raw):
@@ -375,6 +379,11 @@ def _check_sweep(params, explicit):
         if params["m_min"] > params["m_max"]:
             raise ConfigError(
                 f"key 'm_min': {params['m_min']} exceeds m_max={params['m_max']}")
+        count = (params["m_max"] - params["m_min"]) // params["m_step"] + 1
+        if count > _MAX_SWEEP_POINTS:
+            raise ConfigError(
+                f"key 'm_max': m_min..m_max in steps of m_step holds {count} "
+                f"values, at most {_MAX_SWEEP_POINTS}")
         params["m_values"] = list(
             range(params["m_min"], params["m_max"] + 1, params["m_step"]))
 

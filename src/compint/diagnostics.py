@@ -12,13 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import derive_seed, stream
+from ._rng import derive_seed, indexed_streams, stream
 from .modes import _TWO_PI, _own
 from .sensing import SensingMatrix, _as_vector, random_schedule, sensing_matrix
 
 # Fixed histogram layout: 101 uniform bins spanning [-1, 1].
 _HIST_BINS = 101
 _HIST_EDGES = np.linspace(-1.0, 1.0, _HIST_BINS + 1)
+
+# Samples whose draws eta_ensemble stores before computing their eta at once.
+_ETA_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -81,6 +84,55 @@ def eta(phi: SensingMatrix, x) -> float:
     return (2.0 / phi.shape[0]) * float(pv @ pv) / norm2 - 1.0
 
 
+def _eta_block(gram: np.ndarray, supports: np.ndarray, values: np.ndarray,
+               scale: float) -> np.ndarray:
+    """eta of each row's vector, from the Gram matrix G = Phi^T Phi.
+
+    ||Phi_S v||^2 = sum_ab v_a v_b G[S_a, S_b], summed here over a with the
+    row-wise dot of G[S_a, S] and v, so no temporary exceeds block x s.
+    """
+    power = np.zeros(len(values))
+    for a in range(supports.shape[1]):
+        cross = gram[supports[:, a, None], supports]
+        power += values[:, a] * np.einsum("ij,ij->i", cross, values)
+    return scale * power / np.einsum("ij,ij->i", values, values) - 1.0
+
+
+def _eta_blocks(m: int, n_modes: int, s: int, samples: int, seed: int,
+                redraw_phi: bool):
+    """Yield (supports, values, etas) of samples 0..samples-1, in order, in
+    blocks of at most _ETA_BLOCK rows; the arrays are reused by the next block.
+
+    Row i holds the draws of the stream (seed, "eta-sample", i), served by one
+    re-keyed generator, and eta of that vector.  With the shared matrix the
+    block's eta values come from `_eta_block` at once; with redraw_phi each
+    sample's own matrix is applied to its vector directly.
+    """
+    scale = 2.0 / m
+    rekey = indexed_streams(seed, "eta-sample")
+    if not redraw_phi:
+        schedule = random_schedule(m, derive_seed(seed, "eta-phi"))
+        entries = sensing_matrix(schedule, n_modes).entries
+        gram = entries.T @ entries
+    block = min(samples, _ETA_BLOCK)
+    supports = np.empty((block, s), dtype=np.intp)
+    values = np.empty((block, s))
+    etas = np.empty(block)
+    for start in range(0, samples, block):
+        count = min(block, samples - start)
+        for k in range(count):
+            rng = rekey(start + k)
+            supports[k] = rng.choice(n_modes, size=s, replace=False)
+            rng.standard_normal(out=values[k])
+            if redraw_phi:
+                schedule = random_schedule(m, derive_seed(seed, "eta-phi", start + k))
+                pv = sensing_matrix(schedule, n_modes).entries[:, supports[k]] @ values[k]
+                etas[k] = scale * (pv @ pv) / (values[k] @ values[k]) - 1.0
+        if not redraw_phi:
+            etas[:count] = _eta_block(gram, supports[:count], values[:count], scale)
+        yield supports[:count], values[:count], etas[:count]
+
+
 def eta_ensemble(m: int, n_modes: int, s: int, samples: int, seed: int,
                  redraw_phi: bool = False) -> EtaEnsembleReport:
     """Distribution of eta over `samples` random s-sparse signed vectors.
@@ -89,8 +141,12 @@ def eta_ensemble(m: int, n_modes: int, s: int, samples: int, seed: int,
     standard Gaussian (eta is scale invariant, so the value distribution is
     immaterial).  One sensing matrix drawn from (seed, "eta-phi") is shared by
     all samples -- a typical realization -- unless redraw_phi, in which case
-    each sample gets its own schedule.  Sample i is a pure function of
-    (seed, i), independent of how the loop is chunked or parallelized.
+    sample i gets its own schedule from (seed, "eta-phi", i).  Sample i draws
+    its support and values from the stream (seed, "eta-sample", i), so it is a
+    pure function of (seed, i), independent of how the loop is chunked or
+    parallelized.  Draws are kept for one block of samples at a time
+    (`_eta_blocks`), so memory beyond the eta values does not grow with
+    `samples`.
     """
     if not 1 <= s <= n_modes:
         raise ValueError(f"sparsity {s} outside 1..{n_modes}")
@@ -99,23 +155,11 @@ def eta_ensemble(m: int, n_modes: int, s: int, samples: int, seed: int,
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
 
-    entries = None
-    if not redraw_phi:
-        schedule = random_schedule(m, derive_seed(seed, "eta-phi"))
-        entries = sensing_matrix(schedule, n_modes).entries
-
-    scale = 2.0 / m
     etas = np.empty(samples)
-    for i in range(samples):
-        if redraw_phi:
-            schedule = random_schedule(m, derive_seed(seed, "eta-phi", i))
-            entries = sensing_matrix(schedule, n_modes).entries
-        rng = stream(seed, "eta-sample", i)
-        support = rng.choice(n_modes, size=s, replace=False)
-        values = rng.standard_normal(s)
-        pv = entries[:, support] @ values
-        etas[i] = scale * (pv @ pv) / (values @ values) - 1.0
-
+    done = 0
+    for *_, block in _eta_blocks(m, n_modes, s, samples, seed, redraw_phi):
+        etas[done:done + len(block)] = block
+        done += len(block)
     counts, _ = np.histogram(np.clip(etas, -1.0, 1.0), bins=_HIST_EDGES)
     return EtaEnsembleReport(
         bin_edges=_HIST_EDGES,

@@ -8,6 +8,7 @@ program for random sub-Nyquist schedules.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +98,17 @@ class RecoveryResult:
         _own(self, "raw")
 
 
+def _norm(v: np.ndarray) -> float:
+    """||v||_2, finite for any finite v.
+
+    v is divided by a power of two near max |v| before squaring.  That
+    division is exact, so wherever np.linalg.norm(v) neither overflows nor
+    underflows the two agree to the last bit.
+    """
+    unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(v))))[1])
+    return unit * float(np.linalg.norm(v / unit))
+
+
 def _reported_spectrum(raw: np.ndarray, zero_threshold: float) -> ModalSpectrum:
     snapped = np.where(np.abs(raw) < zero_threshold, 0.0, raw)
     return ModalSpectrum(np.maximum(snapped, 0.0))
@@ -124,7 +136,7 @@ def ft_recover(y: MeasurementVector, schedule: DelaySchedule, n_modes: int) -> R
     coeffs = (2.0 / m) * (phi.entries.T @ y.values)
     if m == 2 * n_modes:
         coeffs[-1] *= 0.5
-    residual = float(np.linalg.norm(phi.entries @ coeffs - y.values))
+    residual = _norm(phi.entries @ coeffs - y.values)
     return RecoveryResult(
         spectrum=ModalSpectrum(np.maximum(coeffs, 0.0)),
         iterations=0,
@@ -158,7 +170,7 @@ def basis_pursuit(phi: SensingMatrix, y: MeasurementVector,
     eps = opts.residual_epsilon
     solve = _exact_bp if eps <= opts.abs_tol else _admm
     z, iterations, converged = solve(a, yv, opts)
-    residual = float(np.linalg.norm(a @ z - yv))
+    residual = _norm(a @ z - yv)
     return RecoveryResult(
         spectrum=_reported_spectrum(z, opts.zero_threshold),
         iterations=iterations,
@@ -182,7 +194,7 @@ def _exact_bp(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
     the optimum from below, and ||z||_1 must be within _lp.TOL of that bound.
     """
     n = a.shape[1]
-    if np.linalg.norm(yv) <= opts.residual_epsilon:
+    if _norm(yv) <= opts.residual_epsilon:
         return np.zeros(n), 1, True
     keep = _independent_rows(a)
     rows, rhs = a[keep], yv[keep]
@@ -261,7 +273,7 @@ def _polish(a: np.ndarray, yv: np.ndarray, z: np.ndarray, support: np.ndarray):
     polished[support] = fit
     l1 = np.sum(np.abs(z))
     if (np.all(np.isfinite(fit)) and np.array_equal(np.sign(fit), np.sign(z[support]))
-            and np.linalg.norm(a @ polished - yv) <= np.linalg.norm(a @ z - yv)
+            and _norm(a @ polished - yv) <= _norm(a @ z - yv)
             and np.sum(np.abs(fit)) <= l1 + _lp.TOL * (1.0 + l1)):
         return polished
     return z

@@ -208,6 +208,16 @@ def test_sweep_range_handling():
     assert cfg.params["m_values"] == [2, 5, 8]
 
 
+def test_sweep_range_is_bounded_before_it_is_expanded(capsys):
+    # a billion-value range would be a list of tens of GB before any solve
+    cfg = parse_config("sweep", overrides={"m_min": 1, "m_max": 10 ** 6, "m_step": 1})
+    assert len(cfg.params["m_values"]) == 10 ** 6
+    with pytest.raises(ConfigError, match="'m_max'"):
+        parse_config("sweep", overrides={"m_min": 1, "m_max": 10 ** 6 + 1, "m_step": 1})
+    assert main(["sweep", "--m-max", str(10 ** 9)]) == EXIT_CONFIG
+    assert "key 'm_max'" in capsys.readouterr().err
+
+
 def test_scenario_checks():
     with pytest.raises(ConfigError, match="'name'"):
         parse_config("scenario", overrides={"name": "nope"})

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from compint import diagnostics
 from compint._rng import derive_seed, stream
 from compint.diagnostics import (
     EtaEnsembleReport,
@@ -100,6 +101,62 @@ def test_eta_ensemble_matches_direct_reimplementation():
     np.testing.assert_array_equal(rep.counts, counts)
     assert rep.mean_eta == pytest.approx(float(etas.mean()), abs=1e-15)
     assert rep.max_abs_eta == pytest.approx(float(np.max(np.abs(etas))), abs=1e-15)
+
+
+def _direct_draws(m, n, s, samples, seed, redraw_phi):
+    """(supports, values, etas) sample by sample, each from its own stream."""
+    entries = sensing_matrix(random_schedule(m, derive_seed(seed, "eta-phi")), n).entries
+    supports, values, etas = [], [], []
+    for i in range(samples):
+        if redraw_phi:
+            schedule = random_schedule(m, derive_seed(seed, "eta-phi", i))
+            entries = sensing_matrix(schedule, n).entries
+        rng = stream(seed, "eta-sample", i)
+        support = rng.choice(n, size=s, replace=False)
+        v = rng.standard_normal(s)
+        pv = entries[:, support] @ v
+        supports.append(support)
+        values.append(v)
+        etas.append((2.0 / m) * float(pv @ pv) / float(v @ v) - 1.0)
+    return np.array(supports), np.array(values), np.array(etas)
+
+
+def _blocked_draws(m, n, s, samples, seed, redraw_phi):
+    """The same three arrays as eta_ensemble computes them, block by block."""
+    blocks = [tuple(a.copy() for a in block) for block in
+              diagnostics._eta_blocks(m, n, s, samples, seed, redraw_phi)]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+@pytest.mark.parametrize("redraw_phi, samples", [(False, 600), (True, 200)])
+def test_eta_draws_match_direct_reimplementation_at_bench_shape(redraw_phi, samples):
+    m, n, s, seed = 30, 64, 4, 12
+    supports, values, etas = _blocked_draws(m, n, s, samples, seed, redraw_phi)
+    want_supports, want_values, want_etas = _direct_draws(m, n, s, samples, seed, redraw_phi)
+    np.testing.assert_array_equal(supports, want_supports)
+    np.testing.assert_array_equal(values, want_values)
+    assert np.max(np.abs(etas - want_etas)) <= 1e-14
+    rep = eta_ensemble(m, n, s, samples, seed, redraw_phi=redraw_phi)
+    clipped = np.clip(etas, -1.0, 1.0)
+    np.testing.assert_array_equal(rep.counts, np.histogram(clipped, bins=rep.bin_edges)[0])
+    assert rep.mean_eta == float(np.mean(etas))
+    assert rep.max_abs_eta == float(np.max(np.abs(etas)))
+
+
+def test_eta_samples_do_not_depend_on_block_boundaries(monkeypatch):
+    m, n, s, seed = 30, 64, 4, 2
+    block = diagnostics._ETA_BLOCK
+    runs = [_blocked_draws(m, n, s, count, seed, False)
+            for count in (block - 1, block, block + 1)]
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            np.testing.assert_array_equal(got[:block - 1], want)
+    monkeypatch.setattr(diagnostics, "_ETA_BLOCK", 7)
+    for got, want in zip(_blocked_draws(m, n, s, 50, seed, False), runs[0]):
+        np.testing.assert_array_equal(got, want[:50])
+    for got, want in zip(_blocked_draws(m, n, s, 20, seed, True),
+                         _direct_draws(m, n, s, 20, seed, True)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_eta_ensemble_clamps_out_of_range_values():

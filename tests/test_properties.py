@@ -123,10 +123,11 @@ def test_ft_equals_bp_on_nyquist_data(problem):
     assert _rel_diff(bp.raw, ft.raw) <= 1e-6
 
 
-# Integers are drawn small or past np.intp.  Counts in between are valid and
-# are left out: numpy would try to allocate them, and parse_config itself
-# expands sweep's m_min..m_max range into a list.
-_INTEGERS = (st.integers(-1000, 1000) | st.integers(min_value=_MAX_COUNT + 1)
+# Integers are drawn small, anywhere in np.intp's range, or past it.  Parsing
+# allocates nothing sized by a count, and sweep's m_min..m_max range is bounded
+# before it is expanded, so mid-sized counts must parse or be rejected quickly.
+_INTEGERS = (st.integers(-1000, 1000) | st.integers(-_MAX_COUNT - 1, _MAX_COUNT)
+             | st.integers(min_value=_MAX_COUNT + 1)
              | st.integers(max_value=-_MAX_COUNT - 2))
 _SCALARS = (st.none() | st.booleans() | _INTEGERS | st.floats()
             | st.text(max_size=8)

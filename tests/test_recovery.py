@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -321,6 +323,20 @@ def test_exact_bp_is_scale_free():
         res = basis_pursuit(phi, MeasurementVector(c * (phi.entries @ truth)))
         assert res.converged == converged
         np.testing.assert_allclose(res.raw / c, truth, rtol=0.0, atol=1e-12)
+
+
+def test_bp_final_residual_finite_for_huge_data():
+    # ||Phi z - y||^2 overflows past about 1e154; the residual norm must not
+    phi = sensing_matrix(random_schedule(10, seed=3), 16)
+    truth = np.zeros(16)
+    truth[[5, 12]] = [0.7, -0.2]
+    y = MeasurementVector(1e300 * (phi.entries @ truth))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = basis_pursuit(phi, y)
+    assert np.isfinite(res.final_residual)
+    assert res.final_residual <= 1e-12 * 1e300
+    np.testing.assert_allclose(res.raw / 1e300, truth, rtol=0.0, atol=1e-12)
 
 
 def test_exact_bp_converged_needs_optimality():
