@@ -12,15 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import derive_seed, indexed_streams, stream
+from ._rng import derive_seed, stream
 from .modes import _TWO_PI, _own
-from .sensing import SensingMatrix, _as_vector, random_schedule, sensing_matrix
+from .sensing import (SensingMatrix, _as_vector, _random_delays, random_schedule,
+                      sensing_matrix)
 
 # Fixed histogram layout: 101 uniform bins spanning [-1, 1].
 _HIST_BINS = 101
 _HIST_EDGES = np.linspace(-1.0, 1.0, _HIST_BINS + 1)
 
-# Samples whose draws eta_ensemble stores before computing their eta at once.
+# Samples whose draws eta_ensemble makes and whose eta it computes at once.
+# Part of the keying: block b draws all its rows from (seed, "eta-block", b),
+# so changing it changes every sampled vector.
 _ETA_BLOCK = 4096
 
 
@@ -98,39 +101,67 @@ def _eta_block(gram: np.ndarray, supports: np.ndarray, values: np.ndarray,
     return scale * power / np.einsum("ij,ij->i", values, values) - 1.0
 
 
+def _floyd_supports(rng: np.random.Generator, n_modes: int, s: int,
+                    rows: int) -> np.ndarray:
+    """`rows` uniform size-s subsets of 0..N-1 by Floyd's algorithm (Bentley
+    & Floyd 1987), run on all rows at once.
+
+    Column a is drawn for j = N - s + a: t uniform on 0..j, or j itself where
+    the row already holds t.
+    """
+    supports = np.empty((s, rows), dtype=np.intp)
+    for a, j in enumerate(range(n_modes - s, n_modes)):
+        t = rng.integers(0, j + 1, size=rows)
+        taken = (supports[:a] == t).any(axis=0)
+        supports[a] = np.where(taken, j, t)
+    return supports.T
+
+
+def _eta_redrawn(m: int, seed: int, start: int, supports: np.ndarray,
+                 values: np.ndarray, scale: float) -> np.ndarray:
+    """eta of each row's vector under its own matrix.
+
+    Row k is sample start + k, whose schedule is random_schedule(m,
+    derive_seed(seed, "eta-phi", start + k)); only its s support columns
+    cos((S_a + 1) alpha) are formed, bit-identical to sensing_matrix's.
+    """
+    alphas = np.empty((len(values), m))
+    for k in range(len(values)):
+        alphas[k] = _random_delays(m, derive_seed(seed, "eta-phi", start + k))
+    pv = np.zeros_like(alphas)
+    for a in range(supports.shape[1]):
+        pv += np.cos(alphas * (supports[:, a, None] + 1)) * values[:, a, None]
+    return (scale * np.einsum("ij,ij->i", pv, pv)
+            / np.einsum("ij,ij->i", values, values) - 1.0)
+
+
 def _eta_blocks(m: int, n_modes: int, s: int, samples: int, seed: int,
                 redraw_phi: bool):
     """Yield (supports, values, etas) of samples 0..samples-1, in order, in
-    blocks of at most _ETA_BLOCK rows; the arrays are reused by the next block.
+    blocks of at most _ETA_BLOCK rows.
 
-    Row i holds the draws of the stream (seed, "eta-sample", i), served by one
-    re-keyed generator, and eta of that vector.  With the shared matrix the
-    block's eta values come from `_eta_block` at once; with redraw_phi each
-    sample's own matrix is applied to its vector directly.
+    Block b holds samples b * _ETA_BLOCK onward.  It draws all _ETA_BLOCK
+    rows from the stream (seed, "eta-block", b), however many are used: the
+    supports column by column (`_floyd_supports`), then the values as one
+    _ETA_BLOCK x s array.  So sample i is a pure function of (seed, i), and
+    a shorter run is a prefix of a longer one.  With the shared matrix the
+    block's eta values come from `_eta_block`, else from `_eta_redrawn`.
     """
     scale = 2.0 / m
-    rekey = indexed_streams(seed, "eta-sample")
     if not redraw_phi:
         schedule = random_schedule(m, derive_seed(seed, "eta-phi"))
         entries = sensing_matrix(schedule, n_modes).entries
         gram = entries.T @ entries
-    block = min(samples, _ETA_BLOCK)
-    supports = np.empty((block, s), dtype=np.intp)
-    values = np.empty((block, s))
-    etas = np.empty(block)
-    for start in range(0, samples, block):
-        count = min(block, samples - start)
-        for k in range(count):
-            rng = rekey(start + k)
-            supports[k] = rng.choice(n_modes, size=s, replace=False)
-            rng.standard_normal(out=values[k])
-            if redraw_phi:
-                schedule = random_schedule(m, derive_seed(seed, "eta-phi", start + k))
-                pv = sensing_matrix(schedule, n_modes).entries[:, supports[k]] @ values[k]
-                etas[k] = scale * (pv @ pv) / (values[k] @ values[k]) - 1.0
-        if not redraw_phi:
-            etas[:count] = _eta_block(gram, supports[:count], values[:count], scale)
-        yield supports[:count], values[:count], etas[:count]
+    for block, start in enumerate(range(0, samples, _ETA_BLOCK)):
+        count = min(_ETA_BLOCK, samples - start)
+        rng = stream(seed, "eta-block", block)
+        supports = _floyd_supports(rng, n_modes, s, _ETA_BLOCK)[:count]
+        values = rng.standard_normal((_ETA_BLOCK, s))[:count]
+        if redraw_phi:
+            etas = _eta_redrawn(m, seed, start, supports, values, scale)
+        else:
+            etas = _eta_block(gram, supports, values, scale)
+        yield supports, values, etas
 
 
 def eta_ensemble(m: int, n_modes: int, s: int, samples: int, seed: int,
@@ -141,12 +172,10 @@ def eta_ensemble(m: int, n_modes: int, s: int, samples: int, seed: int,
     standard Gaussian (eta is scale invariant, so the value distribution is
     immaterial).  One sensing matrix drawn from (seed, "eta-phi") is shared by
     all samples -- a typical realization -- unless redraw_phi, in which case
-    sample i gets its own schedule from (seed, "eta-phi", i).  Sample i draws
-    its support and values from the stream (seed, "eta-sample", i), so it is a
-    pure function of (seed, i), independent of how the loop is chunked or
-    parallelized.  Draws are kept for one block of samples at a time
-    (`_eta_blocks`), so memory beyond the eta values does not grow with
-    `samples`.
+    sample i gets its own schedule from (seed, "eta-phi", i).  Samples are
+    drawn a block at a time (`_eta_blocks`), each block from its own stream,
+    so sample i is a pure function of (seed, i) and memory beyond the eta
+    values does not grow with `samples`.
     """
     if not 1 <= s <= n_modes:
         raise ValueError(f"sparsity {s} outside 1..{n_modes}")

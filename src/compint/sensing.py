@@ -136,8 +136,12 @@ def random_schedule(m: int, seed: int) -> DelaySchedule:
     """M delays drawn i.i.d. uniform on [0, 2*pi], reproducible from seed."""
     if m < 1:
         raise ValueError(f"schedule length must be >= 1, got {m}")
-    alphas = stream(seed, "delay-schedule").uniform(0.0, _TWO_PI, m)
-    return DelaySchedule(alphas, ScheduleKind.UNIFORM_RANDOM, seed=seed)
+    return DelaySchedule(_random_delays(m, seed), ScheduleKind.UNIFORM_RANDOM, seed=seed)
+
+
+def _random_delays(m: int, seed: int) -> np.ndarray:
+    """The delays of random_schedule(m, seed), without the schedule's checks."""
+    return stream(seed, "delay-schedule").uniform(0.0, _TWO_PI, m)
 
 
 def sensing_matrix(schedule: DelaySchedule, n_modes: int) -> SensingMatrix:

@@ -1,5 +1,9 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from compint import diagnostics
 from compint._rng import derive_seed, stream
@@ -84,48 +88,49 @@ def test_eta_ensemble_histogram_layout_and_determinism():
     assert rep.max_abs_eta == again.max_abs_eta
 
 
-def test_eta_ensemble_matches_direct_reimplementation():
-    # sample i is a pure function of (seed, i): one shared matrix from
-    # (seed, "eta-phi"), supports and values from (seed, "eta-sample", i)
-    m, n, samples, seed = 7, 5, 200, 9
-    rep = eta_ensemble(m, n, 1, samples, seed=seed)
-    entries = sensing_matrix(random_schedule(m, derive_seed(seed, "eta-phi")), n).entries
-    etas = np.empty(samples)
-    for i in range(samples):
-        rng = stream(seed, "eta-sample", i)
-        support = rng.choice(n, size=1, replace=False)
-        values = rng.standard_normal(1)
-        pv = entries[:, support] @ values
-        etas[i] = (2.0 / m) * float(pv @ pv) / float(values @ values) - 1.0
-    counts, _ = np.histogram(np.clip(etas, -1.0, 1.0), bins=np.linspace(-1, 1, 102))
-    np.testing.assert_array_equal(rep.counts, counts)
-    assert rep.mean_eta == pytest.approx(float(etas.mean()), abs=1e-15)
-    assert rep.max_abs_eta == pytest.approx(float(np.max(np.abs(etas))), abs=1e-15)
-
-
 def _direct_draws(m, n, s, samples, seed, redraw_phi):
-    """(supports, values, etas) sample by sample, each from its own stream."""
-    entries = sensing_matrix(random_schedule(m, derive_seed(seed, "eta-phi")), n).entries
+    """(supports, values, etas) row by row: Floyd's algorithm in plain Python
+    on the draws of the stream (seed, "eta-block", b), and eta from `eta`."""
+    block = diagnostics._ETA_BLOCK
+    phi = sensing_matrix(random_schedule(m, derive_seed(seed, "eta-phi")), n)
     supports, values, etas = [], [], []
-    for i in range(samples):
-        if redraw_phi:
-            schedule = random_schedule(m, derive_seed(seed, "eta-phi", i))
-            entries = sensing_matrix(schedule, n).entries
-        rng = stream(seed, "eta-sample", i)
-        support = rng.choice(n, size=s, replace=False)
-        v = rng.standard_normal(s)
-        pv = entries[:, support] @ v
-        supports.append(support)
-        values.append(v)
-        etas.append((2.0 / m) * float(pv @ pv) / float(v @ v) - 1.0)
+    for b in range(-(-samples // block)):
+        rng = stream(seed, "eta-block", b)
+        draws = [rng.integers(0, j + 1, size=block) for j in range(n - s, n)]
+        block_values = rng.standard_normal((block, s))
+        for row in range(block):
+            i = b * block + row
+            if i == samples:
+                break
+            support = []
+            for j, t in zip(range(n - s, n), draws):
+                support.append(j if t[row] in support else int(t[row]))
+            if redraw_phi:
+                phi = sensing_matrix(random_schedule(m, derive_seed(seed, "eta-phi", i)), n)
+            x = np.zeros(n)
+            x[support] = block_values[row]
+            supports.append(support)
+            values.append(block_values[row])
+            etas.append(eta(phi, x))
     return np.array(supports), np.array(values), np.array(etas)
 
 
 def _blocked_draws(m, n, s, samples, seed, redraw_phi):
     """The same three arrays as eta_ensemble computes them, block by block."""
-    blocks = [tuple(a.copy() for a in block) for block in
-              diagnostics._eta_blocks(m, n, s, samples, seed, redraw_phi)]
+    blocks = list(diagnostics._eta_blocks(m, n, s, samples, seed, redraw_phi))
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def test_eta_ensemble_matches_direct_reimplementation():
+    # sample i is a pure function of (seed, i): one shared matrix from
+    # (seed, "eta-phi"), supports and values from its block's stream
+    m, n, samples, seed = 7, 5, 200, 9
+    rep = eta_ensemble(m, n, 1, samples, seed=seed)
+    etas = _direct_draws(m, n, 1, samples, seed, False)[2]
+    counts, _ = np.histogram(np.clip(etas, -1.0, 1.0), bins=np.linspace(-1, 1, 102))
+    np.testing.assert_array_equal(rep.counts, counts)
+    assert rep.mean_eta == pytest.approx(float(etas.mean()), abs=1e-15)
+    assert rep.max_abs_eta == pytest.approx(float(np.max(np.abs(etas))), abs=1e-15)
 
 
 @pytest.mark.parametrize("redraw_phi, samples", [(False, 600), (True, 200)])
@@ -143,20 +148,37 @@ def test_eta_draws_match_direct_reimplementation_at_bench_shape(redraw_phi, samp
     assert rep.max_abs_eta == float(np.max(np.abs(etas)))
 
 
-def test_eta_samples_do_not_depend_on_block_boundaries(monkeypatch):
+def test_eta_samples_do_not_depend_on_block_boundaries():
+    # a run of K samples is a prefix of any longer run, across a block edge,
+    # and the rows at the edge are the direct reimplementation's
     m, n, s, seed = 30, 64, 4, 2
     block = diagnostics._ETA_BLOCK
-    runs = [_blocked_draws(m, n, s, count, seed, False)
-            for count in (block - 1, block, block + 1)]
-    for run in runs[1:]:
-        for got, want in zip(run, runs[0]):
-            np.testing.assert_array_equal(got[:block - 1], want)
-    monkeypatch.setattr(diagnostics, "_ETA_BLOCK", 7)
-    for got, want in zip(_blocked_draws(m, n, s, 50, seed, False), runs[0]):
-        np.testing.assert_array_equal(got, want[:50])
-    for got, want in zip(_blocked_draws(m, n, s, 20, seed, True),
-                         _direct_draws(m, n, s, 20, seed, True)):
-        np.testing.assert_array_equal(got, want)
+    for redraw_phi in (False, True):
+        runs = [_blocked_draws(m, n, s, count, seed, redraw_phi)
+                for count in (block - 1, block, block + 1)]
+        for shorter, longer in zip(runs, runs[1:]):
+            for got, want in zip(longer, shorter):
+                np.testing.assert_array_equal(got[:len(want)], want)
+        edge = _direct_draws(m, n, s, block + 1, seed, redraw_phi)
+        for got, want in zip(runs[-1], edge):
+            np.testing.assert_allclose(got[block - 2:], want[block - 2:], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n, s", [(6, 3), (64, 4), (5, 1), (5, 5)])
+def test_eta_supports_are_distinct_indices(n, s):
+    supports, *_ = _blocked_draws(4, n, s, 2 * diagnostics._ETA_BLOCK, 5, False)
+    assert supports.min() >= 0 and supports.max() < n
+    assert all(len(set(row)) == s for row in supports.tolist())
+
+
+def test_eta_supports_uniform_over_subsets():
+    # Floyd's algorithm makes every size-s subset equally likely: chi-square
+    # over all C(6, 3) = 20 subsets of three blocks' rows
+    supports, *_ = _blocked_draws(4, 6, 3, 3 * diagnostics._ETA_BLOCK, 21, False)
+    subsets = list(itertools.combinations(range(6), 3))
+    counts = Counter(tuple(sorted(row)) for row in supports.tolist())
+    assert set(counts) == set(subsets)
+    assert chisquare([counts[c] for c in subsets]).pvalue > 1e-3
 
 
 def test_eta_ensemble_clamps_out_of_range_values():
