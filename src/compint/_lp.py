@@ -17,6 +17,13 @@ TOL = 1e-8
 _STEP_FRACTION = 0.99995
 _MIN_STEP = 1e-12
 
+# A solve has also stalled when mu, the mean complementarity, has not fallen
+# by _STALL_FACTOR over the last _STALL_STEPS steps.  Each step lowers mu in
+# exact arithmetic; on ill-conditioned programs rounding leaves it wandering
+# over orders of magnitude for hundreds of steps instead.
+_STALL_STEPS = 20
+_STALL_FACTOR = 0.1
+
 
 def solve(a: np.ndarray, b: np.ndarray, max_steps: int):
     """min 1^T x s.t. a x = b, x >= 0, for `a` with independent rows.
@@ -26,7 +33,8 @@ def solve(a: np.ndarray, b: np.ndarray, max_steps: int):
     (x, s, lam, steps), the last iterate divided by tau; x is None when the
     program is infeasible or the iterate is not finite.  The solve stops when
     the relative residuals and gap fall below TOL, and also on a singular or
-    non-finite step, a step shorter than _MIN_STEP, or max_steps steps.
+    non-finite step, a step shorter than _MIN_STEP, a stall of mu (checked
+    every _STALL_STEPS steps), or max_steps steps.
     """
     m, n = a.shape
     x, s, lam = np.ones(n), np.ones(n), np.zeros(m)
@@ -45,6 +53,10 @@ def solve(a: np.ndarray, b: np.ndarray, max_steps: int):
                 break
             if tau <= TOL * min(1.0, kappa) and mu <= TOL:
                 return None, None, None, steps
+            if steps % _STALL_STEPS == 0:
+                if steps and mu > _STALL_FACTOR * mu_mark:
+                    break
+                mu_mark = mu
             d = x / s
             k = (a * d) @ a.T
             # The direction is affine in dtau: (dx, dlam) = (u, v) + dtau (p, q),

@@ -8,6 +8,7 @@ E[phi^T phi] = 0.5 I.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,10 @@ _HIST_EDGES = np.linspace(-1.0, 1.0, _HIST_BINS + 1)
 # Part of the keying: block b draws all its rows from (seed, "eta-block", b),
 # so changing it changes every sampled vector.
 _ETA_BLOCK = 4096
+
+# Rows whose harmonic powers isotropy_from_rows forms at once: at N = 64 a
+# block's powers take about 0.75 MB, so they stay in cache for its product.
+_ISOTROPY_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -209,33 +214,72 @@ def incoherence(phi: SensingMatrix) -> float:
     return float(np.max(phi.entries ** 2))
 
 
+def _isotropy_from_blocks(blocks, n_modes: int, rows: int) -> np.ndarray:
+    """isotropy_from_rows over `rows` delays that arrive in blocks.
+
+    Each harmonic is split as h = B q + r with B = isqrt(2N) + 1, so
+    e^{iha} = e^{iBqa} e^{ira} for r < B and q <= 2N / B.  Per block the B
+    low and Q high powers are running products in (count, rows) arrays, B + Q
+    complex multiplies per row, and their products summed over rows are one
+    Q x B matrix product whose entry (q, r) is harmonic B q + r.  Only its
+    real part is needed: the real product of the conjugated high powers and
+    the low ones, each viewed as interleaved (re, im) pairs, which sums
+    cos(Bqa) cos(ra) - sin(Bqa) sin(ra) over the rows.
+    """
+    top = 2 * n_modes
+    low_count = math.isqrt(top) + 1
+    high_count = top // low_count + 1
+    sums = np.zeros((high_count, low_count))
+    for block in blocks:
+        step = np.exp(1j * block)
+        low = _powers(step, low_count)
+        high = _powers(np.conj(low[-1] * step), high_count)
+        sums += high.view(float) @ low.view(float).T
+    means = sums.ravel()[:top + 1] / rows
+    j = np.arange(1, n_modes + 1)[:, None]
+    return 0.5 * (means[np.abs(j - j.T)] + means[j + j.T])
+
+
+def _powers(step: np.ndarray, count: int) -> np.ndarray:
+    """Rows step**0 .. step**(count - 1), by running products."""
+    out = np.empty((count, len(step)), dtype=complex)
+    out[0] = 1.0
+    for k in range(1, count):
+        np.multiply(out[k - 1], step, out=out[k])
+    return out
+
+
 def isotropy_from_rows(alphas: np.ndarray, n_modes: int) -> np.ndarray:
     """Average of phi^T phi over the rows phi = (cos a, cos 2a, ..., cos Na).
 
     cos(ja) cos(ka) = [cos((j-k)a) + cos((j+k)a)] / 2, so entry (j, k) is
     (c[|j-k|] + c[j+k]) / 2 in the harmonic means c[h] = mean cos(ha),
-    h = 0..2N, and the result is symmetric by construction.  c[h] is the mean
-    of Re e^{iha}, with the powers e^{iha} formed by a running product: one
-    complex multiply per row and harmonic.
+    h = 0..2N, and the result is symmetric by construction.  The sums behind
+    c are taken over blocks of _ISOTROPY_BLOCK rows, with about 2 sqrt(2N)
+    complex multiplies per row and one small matrix product per block, made
+    while the block's powers are still in cache (`_isotropy_from_blocks`).
     """
-    step = np.exp(1j * np.asarray(alphas, dtype=float))
-    power = np.ones_like(step)
-    means = np.ones(2 * n_modes + 1)
-    for h in range(1, 2 * n_modes + 1):
-        power *= step
-        means[h] = power.real.mean()
-    j = np.arange(1, n_modes + 1)[:, None]
-    return 0.5 * (means[np.abs(j - j.T)] + means[j + j.T])
+    alphas = np.asarray(alphas, dtype=float)
+    blocks = (alphas[start:start + _ISOTROPY_BLOCK]
+              for start in range(0, len(alphas), _ISOTROPY_BLOCK))
+    return _isotropy_from_blocks(blocks, n_modes, len(alphas))
 
 
 def isotropy_estimate(n_modes: int, rows: int, seed: int) -> IsotropyReport:
-    """Monte-Carlo check of E[phi^T phi] = 0.5 I over i.i.d. uniform delays."""
+    """Monte-Carlo check of E[phi^T phi] = 0.5 I over i.i.d. uniform delays.
+
+    The delays come from the stream (seed, "isotropy-rows"), drawn and used
+    _ISOTROPY_BLOCK at a time, so memory does not grow with `rows`; the
+    values are those of one draw of all `rows`.
+    """
     if rows < 1:
         raise ValueError(f"rows must be >= 1, got {rows}")
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    alphas = stream(seed, "isotropy-rows").uniform(0.0, _TWO_PI, rows)
-    estimate = isotropy_from_rows(alphas, n_modes)
+    rng = stream(seed, "isotropy-rows")
+    blocks = (rng.uniform(0.0, _TWO_PI, min(_ISOTROPY_BLOCK, rows - start))
+              for start in range(0, rows, _ISOTROPY_BLOCK))
+    estimate = _isotropy_from_blocks(blocks, n_modes, rows)
     off = estimate - np.diag(np.diag(estimate))
     return IsotropyReport(
         estimate=estimate,

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -275,6 +276,41 @@ def test_isotropy_matches_cosine_table_reference(n_modes, rows):
     est = isotropy_from_rows(alphas, n_modes)
     assert np.array_equal(est, est.T)
     assert np.max(np.abs(est - isotropy_reference(alphas, n_modes))) <= 1e-13
+
+
+_ISO_BLOCK = diagnostics._ISOTROPY_BLOCK
+
+
+@pytest.mark.parametrize("n_modes", [1, 5, 64, 256])
+@pytest.mark.parametrize("rows", [_ISO_BLOCK - 1, _ISO_BLOCK, _ISO_BLOCK + 1,
+                                  3 * _ISO_BLOCK + 7])
+def test_isotropy_blocks_match_cosine_table_reference(n_modes, rows):
+    # row counts on either side of a block boundary, and a short last block
+    alphas = stream(rows, "isotropy-blocks").uniform(0.0, 2.0 * np.pi, rows)
+    est = isotropy_from_rows(alphas, n_modes)
+    assert np.array_equal(est, est.T)
+    assert np.max(np.abs(est - isotropy_reference(alphas, n_modes))) <= 1e-13
+
+
+def test_isotropy_estimate_draws_rows_block_by_block():
+    # drawing the delays a block at a time takes the same values from the
+    # stream as one draw of all rows
+    rows = 3 * _ISO_BLOCK + 7
+    alphas = stream(5, "isotropy-rows").uniform(0.0, 2.0 * np.pi, rows)
+    np.testing.assert_array_equal(isotropy_estimate(8, rows, 5).estimate,
+                                  isotropy_from_rows(alphas, 8))
+
+
+def test_isotropy_estimate_memory_does_not_grow_with_rows():
+    # all of 10**6 delays at once would take 8 MB, and their powers 16 MB
+    isotropy_estimate(64, 10, 0)
+    tracemalloc.start()
+    try:
+        isotropy_estimate(64, 10**6, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_isotropy_single_row():

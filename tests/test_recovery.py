@@ -312,6 +312,25 @@ def test_exact_bp_detects_infeasible_nonnegative_data():
     assert np.all(np.isfinite(res.raw)) and np.all(res.raw >= 0.0)
 
 
+def test_exact_bp_stops_when_mu_stalls():
+    # noisy data fitted exactly with M close to N: rounding leaves mu
+    # wandering between about 1e-19 and 1e-12, and without the stall test the
+    # solve ran 1299 steps to an l1 norm of 3.1e7
+    n = 64
+    rng = np.random.default_rng(7104)
+    m = int(rng.integers(48, 65))
+    s = int(rng.integers(1, 5))
+    truth = np.zeros(n)
+    truth[rng.choice(n, s, replace=False)] = rng.uniform(0.1, 1.0, s)
+    phi = sensing_matrix(random_schedule(m, seed=7104), n)
+    y = phi.entries @ truth + 0.01 * rng.standard_normal(m)
+    res = basis_pursuit(phi, MeasurementVector(y))
+    assert m == 52
+    assert res.iterations <= 100
+    assert not res.converged
+    assert np.all(np.isfinite(res.raw))
+
+
 def test_exact_bp_is_scale_free():
     # the data are scaled to max |y| = 1 before the solve, so the solution
     # scales with y; the absolute residual test fails only where round-off
