@@ -8,6 +8,8 @@ once for the predictor and once for the corrector.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Tolerance on the relative residuals and duality gap, the fraction of the
@@ -25,7 +27,7 @@ _STALL_STEPS = 20
 _STALL_FACTOR = 0.1
 
 
-def solve(a: np.ndarray, b: np.ndarray, max_steps: int):
+def solve(a: np.ndarray, b: np.ndarray, max_steps: int, finished=None):
     """min 1^T x s.t. a x = b, x >= 0, for `a` with independent rows.
 
     Starts from x = s = 1, lam = 0, tau = kappa = 1, where s are the dual
@@ -34,20 +36,31 @@ def solve(a: np.ndarray, b: np.ndarray, max_steps: int):
     program is infeasible or the iterate is not finite.  The solve stops when
     the relative residuals and gap fall below TOL, and also on a singular or
     non-finite step, a step shorter than _MIN_STEP, a stall of mu (checked
-    every _STALL_STEPS steps), or max_steps steps.
+    every _STALL_STEPS steps), or max_steps steps.  When given,
+    finished(x, s, lam) is called with the iterate divided by tau at the top
+    of each step, before any stopping test, and a true value ends the solve
+    there; `steps` then counts the steps taken before that call.
     """
     m, n = a.shape
     x, s, lam = np.ones(n), np.ones(n), np.zeros(m)
     tau = kappa = 1.0
     rp_scale = max(1.0, float(np.linalg.norm(b - a.sum(axis=1))))
+    # The right-hand sides of the first solve of each step: rows (1, rd + s)
+    # and (b, rp), for the direction (p, q) of dtau and the predictor.
+    r1 = np.ones((2, n))
+    r2 = np.empty((2, m))
+    r2[0] = b
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for steps in range(max_steps + 1):
+            if finished is not None and finished(x / tau, s / tau, lam / tau):
+                break
             rp = b * tau - a @ x
             rd = tau - a.T @ lam - s
             primal, dual = x.sum(), b @ lam
             rg = kappa + primal - dual
-            mu = (x @ s + tau * kappa) / (n + 1)
-            if ((np.linalg.norm(rp) <= TOL * rp_scale and np.linalg.norm(rd) <= TOL
+            xs = x * s
+            mu = (xs.sum() + tau * kappa) / (n + 1)
+            if ((math.sqrt(rp @ rp) <= TOL * rp_scale and math.sqrt(rd @ rd) <= TOL
                  and abs(primal - dual) <= TOL * (tau + abs(dual)))
                     or steps == max_steps):
                 break
@@ -58,74 +71,78 @@ def solve(a: np.ndarray, b: np.ndarray, max_steps: int):
                     break
                 mu_mark = mu
             d = x / s
-            k = (a * d) @ a.T
+            ad = a * d
+            k = ad @ a.T
             # The direction is affine in dtau: (dx, dlam) = (u, v) + dtau (p, q),
             # where (p, q) solves the Newton system for (1, b) and (u, v) for
             # the residuals.  Predictor and (p, q) share one solve.
+            np.add(rd, s, out=r1[1])
+            r2[1] = rp
             try:
-                (p, u), (q, v) = _newton(a, d, k, np.stack((np.ones(n), rd + s)),
-                                         np.stack((b, rp)))
+                (p, u), (q, v) = _newton(a, d, ad, k, r1, r2)
             except np.linalg.LinAlgError:
                 break
             denominator = b @ q - p.sum() + kappa / tau
-
-            def direction(u, v, rg_hat, rxs, rtk):
-                dtau = (rg_hat + rtk / tau + u.sum() - b @ v) / denominator
-                dx = u + p * dtau
-                return dx, v + q * dtau, (rxs - s * dx) / x, dtau, (rtk - kappa * dtau) / tau
-
-            affine = direction(u, v, rg, -x * s, -tau * kappa)
-            dx, _, ds, dtau, dkappa = affine
-            alpha = _step_length(x, s, tau, kappa, affine)
+            # Predictor: the affine-scaling step, for residuals rxs = -x s and
+            # rtk = -tau kappa.
+            dtau = (rg - kappa + u.sum() - b @ v) / denominator
+            dx = u + p * dtau
+            ds = (-xs - s * dx) / x
+            dkappa = (-tau * kappa - kappa * dtau) / tau
+            alpha = _step_length(x, s, tau, kappa, dx, ds, dtau, dkappa)
             mu_affine = ((x + alpha * dx) @ (s + alpha * ds)
                          + (tau + alpha * dtau) * (kappa + alpha * dkappa)) / (n + 1)
             gamma = (mu_affine / mu) ** 3
             eta = 1.0 - gamma
-            rxs = gamma * mu - x * s - dx * ds
+            rxs = gamma * mu - xs - dx * ds
             rtk = gamma * mu - tau * kappa - dtau * dkappa
             try:
-                (u,), (v,) = _newton(a, d, k, [eta * rd - rxs / x], [eta * rp])
+                u, v = _newton(a, d, ad, k, eta * rd - rxs / x, eta * rp)
             except np.linalg.LinAlgError:
                 break
-            step = direction(u, v, eta * rg, rxs, rtk)
-            if not all(np.all(np.isfinite(part)) for part in step):
+            # Corrector, for residuals eta (rp, rd, rg) and (rxs, rtk).
+            dtau = (eta * rg + rtk / tau + u.sum() - b @ v) / denominator
+            dx = u + p * dtau
+            dlam = v + q * dtau
+            ds = (rxs - s * dx) / x
+            dkappa = (rtk - kappa * dtau) / tau
+            if not (np.isfinite(np.concatenate((dx, dlam, ds))).all()
+                    and math.isfinite(dtau) and math.isfinite(dkappa)):
                 break
-            alpha = _STEP_FRACTION * _step_length(x, s, tau, kappa, step)
+            alpha = _STEP_FRACTION * _step_length(x, s, tau, kappa, dx, ds, dtau, dkappa)
             if alpha < _MIN_STEP:
                 break
-            dx, dlam, ds, dtau, dkappa = step
             x = x + alpha * dx
             s = s + alpha * ds
             lam = lam + alpha * dlam
             tau += alpha * dtau
             kappa += alpha * dkappa
         x, s, lam = x / tau, s / tau, lam / tau
-    if not all(np.all(np.isfinite(v)) for v in (x, s, lam)):
+    if not np.isfinite(np.concatenate((x, s, lam))).all():
         return None, None, None, steps
     return x, s, lam, steps
 
 
-def _newton(a, d, k, r1, r2):
-    """Rows u_i, v_i with -u_i / d + a^T v_i = r1_i and a u_i = r2_i.
+def _newton(a, d, ad, k, r1, r2):
+    """u, v with -u / d + a^T v = r1 and a u = r2, for each row of r1 and r2.
 
-    Solves the normal equations k v_i = r2_i + a (d r1_i), k = a diag(d) a^T.
-    Near the optimum d spans many orders of magnitude, and when fewer than
-    M entries of x stay large, k can be singular in floating point; then the
-    augmented system [-diag(1/d) a^T; a 0], which is not, is solved instead.
+    Solves the normal equations k v = r2 + a (d r1), k = a diag(d) a^T, given
+    ad = a diag(d).  r1 and r2 are single vectors or stacks of rows.  Near the
+    optimum d spans many orders of magnitude, and when fewer than M entries of
+    x stay large, k can be singular in floating point; then the augmented
+    system [-diag(1/d) a^T; a 0], which is not, is solved instead.
     """
-    r1, r2 = np.asarray(r1), np.asarray(r2)
     try:
-        v = np.linalg.solve(k, (r2 + (r1 * d) @ a.T).T).T
+        v = np.linalg.solve(k, (r2 + r1 @ ad.T).T).T
         return d * (v @ a - r1), v
     except np.linalg.LinAlgError:
         m, n = a.shape
         kkt = np.block([[np.diag(-1.0 / d), a.T], [a, np.zeros((m, m))]])
         uv = np.linalg.solve(kkt, np.hstack((r1, r2)).T).T
-        return uv[:, :n], uv[:, n:]
+        return uv[..., :n], uv[..., n:]
 
 
-def _step_length(x, s, tau, kappa, step) -> float:
+def _step_length(x, s, tau, kappa, dx, ds, dtau, dkappa) -> float:
     """Longest alpha <= 1 that keeps x, s, tau and kappa nonnegative."""
-    dx, _, ds, dtau, dkappa = step
-    shrink = -min(np.min(dx / x), np.min(ds / s), dtau / tau, dkappa / kappa)
+    shrink = -min(np.concatenate((dx / x, ds / s)).min(), dtau / tau, dkappa / kappa)
     return 1.0 if shrink <= 1.0 else 1.0 / shrink

@@ -16,7 +16,7 @@ from ._rng import derive_seed, stream
 from .modes import BasisKind, ComplexModalField, ModeBasis, _own_vector
 from .recovery import (BPOptions, RecoveryResult, basis_pursuit, ft_recover,
                        reconstruction_error)
-from .sensing import (ModalSpectrum, nyquist_schedule, random_schedule,
+from .sensing import (ModalSpectrum, _measure, nyquist_schedule, random_schedule,
                       sample_interferogram, sensing_matrix)
 
 _FIELD_WEIGHT_TOL = 1e-9
@@ -172,8 +172,8 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
 
     cs = random_schedule(spec.cs_m, derive_seed(spec.seed, "scenario-schedule"))
     phi = sensing_matrix(cs, truth.n_modes)
-    y_cs = sample_interferogram(truth, cs, spec.noise_sigma,
-                                derive_seed(spec.seed, "scenario-measure"))
+    y_cs = _measure(phi, truth, spec.noise_sigma,
+                    derive_seed(spec.seed, "scenario-measure"))
     bp = basis_pursuit(phi, y_cs)
 
     return ScenarioResult(
@@ -250,7 +250,7 @@ def error_vs_m_sweep(n_modes: int, s_max: int, m_values, runs: int,
             schedule = random_schedule(
                 int(m), derive_seed(seed, "sweep-schedule", int(m), r))
             phi = sensing_matrix(schedule, n_modes)
-            y = sample_interferogram(truth, schedule)
+            y = _measure(phi, truth)
             result = basis_pursuit(phi, y, opts)
             errors[r] = reconstruction_error(truth, result.raw)
         mean_error[j] = errors.mean()

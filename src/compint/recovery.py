@@ -49,7 +49,9 @@ class BPOptions:
     the equality-constrained one, a linear program solved by an interior-point
     method; the default 1e-9 selects it.  Noisy data need a radius matched to
     the noise, which ADMM solves with penalty penalty_rho.  max_iters caps
-    interior-point steps or ADMM iterations.  Set nonnegative to restrict the
+    interior-point steps or ADMM iterations; an interior-point solve often
+    stops well before it, at its first step whose refit on the support found
+    is certified optimal.  Set nonnegative to restrict the
     search to x >= 0.  Entries of the solution smaller in magnitude than
     zero_threshold are snapped to 0 in the reported spectrum (the raw
     solution is kept alongside).
@@ -82,7 +84,9 @@ class RecoveryResult:
     `spectrum` is the reporting view: zero-snapped at the configured threshold
     and clipped at 0 (weights are physically nonnegative).  `raw` is the
     untouched solver output, which failed or noisy recoveries may leave signed;
-    error metrics should use it.
+    error metrics should use it.  `iterations` is 0 for harmonic inversion; for
+    Basis Pursuit it counts the interior-point steps taken up to the step
+    whose refit was certified, or the ADMM iterations.
     """
 
     spectrum: ModalSpectrum
@@ -153,9 +157,11 @@ def basis_pursuit(phi: SensingMatrix, y: MeasurementVector,
 
     With residual_epsilon <= abs_tol the epsilon-ball is smaller than the
     solver's own feasibility tolerance, so the program is the equality
-    constrained one, a linear program solved exactly by `_exact_bp`.  Larger
-    radii are solved by ADMM (`_admm`).  `iterations` counts interior-point
-    steps or ADMM iterations, up to max_iters.
+    constrained one, a linear program solved exactly by `_exact_bp`, which
+    stops at the first interior-point step whose refit on the support found
+    is certified optimal.  Larger radii are solved by ADMM (`_admm`).
+    `iterations` counts interior-point steps up to that point, or ADMM
+    iterations, up to max_iters.
 
     A converged result always satisfies ||Phi z - y||_2 <= epsilon + abs_tol.
     Non-convergence (infeasible data, a stall, or the iteration cap) is
@@ -188,10 +194,19 @@ def _exact_bp(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
     Donoho & Saunders 1998); with `nonnegative`, min 1^T x s.t. Phi x = y,
     x >= 0.  Each interior-point step solves with Phi diag(p/s_p + q/s_q)
     Phi^T.  Data inside the epsilon-ball around 0 give z = 0 at step 1, and
-    infeasible data z = 0 with optimal=False.  The last iterate is refit by
-    least squares on its support (`_polish`).  `optimal` is a certificate:
-    by weak duality, the dual iterate scaled into the dual feasible set bounds
-    the optimum from below, and ||z||_1 must be within _lp.TOL of that bound.
+    infeasible data z = 0 with optimal=False.
+
+    An iterate is refit by least squares on its support (`_polish`), and
+    `optimal` is a certificate: by weak duality a dual point scaled into the
+    dual feasible set bounds the optimum from below, and ||z||_1 must be
+    within _lp.TOL of that bound.  From the first step on, each new support
+    guess with at most as many entries as kept rows is refit and, if the
+    refit fits y, tested with the dual iterate projected onto
+    Phi_S^T lam = sign(z_S) (finite termination, Ye 1992); the solve ends at
+    the first step whose refit passes, and `steps` counts the steps before
+    it.  A solve never certified this way runs to the interior-point
+    method's own stopping rule, and its last iterate is refit and tested
+    with the dual iterate itself.
     """
     n = a.shape[1]
     if _norm(yv) <= opts.residual_epsilon:
@@ -202,19 +217,53 @@ def _exact_bp(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
     # The program is solved for data scaled to max |y| = 1, where the solver's
     # relative tolerances and its start at x = 1 fit every data scale alike.
     scale = np.max(np.abs(yv))
-    x, s, lam, steps = _lp.solve(lp_a, rhs / scale, opts.max_iters)
+    tried = certified = None
+
+    def support_of(x, s):
+        # An entry is on the support where its primal value exceeds its dual slack.
+        on = x > s
+        return on if opts.nonnegative else on[:n] | on[n:]
+
+    def weights(x):
+        x = scale * x
+        return x if opts.nonnegative else x[:n] - x[n:]
+
+    def optimal(z, lam):
+        # In the units of the scaled program, where max |y| = 1.
+        l1 = float(np.abs(z).sum())
+        bound = float(rhs @ lam) / max(1.0, float((lp_a.T @ lam).max()))
+        return l1 - bound <= _lp.TOL * (scale + l1)
+
+    def finished(x, s, lam):
+        nonlocal tried, certified
+        support = support_of(x, s)
+        if not 0 < np.count_nonzero(support) <= len(rhs) or np.array_equal(support, tried):
+            return False
+        tried = support
+        z = _polish(a, yv, weights(x), support)
+        if z is None or _norm(a @ z - yv) > opts.residual_epsilon + opts.abs_tol:
+            return False
+        # The dual iterate projected onto Phi_S^T lam = sign(z_S).
+        cols = rows[:, support]
+        try:
+            lam = lam + cols @ np.linalg.solve(cols.T @ cols,
+                                               np.sign(z[support]) - cols.T @ lam)
+        except np.linalg.LinAlgError:
+            return False
+        if not optimal(z, lam):
+            return False
+        certified = z
+        return True
+
+    x, s, lam, steps = _lp.solve(lp_a, rhs / scale, opts.max_iters, finished)
+    if certified is not None:
+        return certified, steps, True
     if x is None:
         return np.zeros(n), steps, False
-    # An entry is on the support where its primal value exceeds its dual slack.
-    support = x > s
-    x = scale * x
-    if not opts.nonnegative:
-        x = x[:n] - x[n:]
-        support = support[:n] | support[n:]
-    z = _polish(a, yv, x, support)
-    l1 = float(np.sum(np.abs(z)))
-    bound = float(rhs @ lam) / max(1.0, float(np.max(lp_a.T @ lam)))
-    return z, steps, l1 - bound <= _lp.TOL * (1.0 + l1)
+    z = weights(x)
+    polished = _polish(a, yv, z, support_of(x, s))
+    z = z if polished is None else polished
+    return z, steps, optimal(z, lam)
 
 
 def _independent_rows(a: np.ndarray) -> np.ndarray:
@@ -253,14 +302,14 @@ def _independent_rows(a: np.ndarray) -> np.ndarray:
 
 
 def _polish(a: np.ndarray, yv: np.ndarray, z: np.ndarray, support: np.ndarray):
-    """z refit by least squares on `support`, where that keeps its signs.
+    """z refit by least squares on `support`, or None where that fails.
 
     Entries off the support become exact zeros and the residual falls to
     round-off.  The fit solves the normal equations of the support's columns
     and refines the solution once against the residual, which recovers the
-    accuracy that squaring their condition number loses.  Where the equations
-    are singular, or the fit flips a sign, fits y worse or raises ||z||_1 by
-    more than _lp.TOL, z is returned unchanged.
+    accuracy that squaring their condition number loses.  It fails where the
+    equations are singular, or the fit flips a sign of z, fits y worse or
+    raises ||z||_1 by more than _lp.TOL.
     """
     cols = a[:, support]
     gram = cols.T @ cols
@@ -268,7 +317,7 @@ def _polish(a: np.ndarray, yv: np.ndarray, z: np.ndarray, support: np.ndarray):
         fit = np.linalg.solve(gram, cols.T @ yv)
         fit += np.linalg.solve(gram, cols.T @ (yv - cols @ fit))
     except np.linalg.LinAlgError:
-        return z
+        return None
     polished = np.zeros_like(z)
     polished[support] = fit
     l1 = np.sum(np.abs(z))
@@ -276,7 +325,7 @@ def _polish(a: np.ndarray, yv: np.ndarray, z: np.ndarray, support: np.ndarray):
             and _norm(a @ polished - yv) <= _norm(a @ z - yv)
             and np.sum(np.abs(fit)) <= l1 + _lp.TOL * (1.0 + l1)):
         return polished
-    return z
+    return None
 
 
 def _admm(a: np.ndarray, yv: np.ndarray, opts: BPOptions):

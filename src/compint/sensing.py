@@ -169,9 +169,16 @@ def sample_interferogram(x: ModalSpectrum, schedule: DelaySchedule,
     (seed, "measurement-noise"), so identical (x, schedule, sigma, seed) give
     bit-identical vectors.
     """
+    return _measure(sensing_matrix(schedule, x.n_modes), x, noise_sigma, seed)
+
+
+def _measure(phi: SensingMatrix, x: ModalSpectrum, noise_sigma: float = 0.0,
+             seed: int = 0) -> MeasurementVector:
+    """sample_interferogram(x, phi.schedule, noise_sigma, seed), for a caller
+    that has already built phi = sensing_matrix(phi.schedule, x.n_modes)."""
     # Overflow is left to MeasurementVector's finite check, which names it.
     with np.errstate(over="ignore", invalid="ignore"):
-        y = sensing_matrix(schedule, x.n_modes).entries @ x.weights
+        y = phi.entries @ x.weights
     if noise_sigma > 0:
-        y = y + stream(seed, "measurement-noise").normal(0.0, noise_sigma, schedule.m)
+        y = y + stream(seed, "measurement-noise").normal(0.0, noise_sigma, phi.schedule.m)
     return MeasurementVector(y, noise_sigma=noise_sigma)

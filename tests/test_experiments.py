@@ -13,6 +13,7 @@ from compint.experiments import (
     scenario_by_name,
 )
 from compint.modes import BasisKind, ComplexModalField, ModeBasis
+from compint import _lp
 from compint.recovery import reconstruction_error
 from compint.sensing import ModalSpectrum
 
@@ -146,6 +147,20 @@ def test_sweep_error_drops_with_m():
     again = error_vs_m_sweep(16, 2, [4, 64], runs=8, seed=0)
     np.testing.assert_array_equal(sweep.mean_error, again.mean_error)
     np.testing.assert_array_equal(sweep.std_error, again.std_error)
+
+
+def test_sweep_unchanged_by_early_stop(monkeypatch):
+    # Criterion 6's sweep at four of its M values: ending each solve at its
+    # first certified refit leaves every number as the full solves give it.
+    m_values = [5, 10, 20, 30]
+    early = error_vs_m_sweep(64, 4, m_values, runs=100, seed=0)
+    solve = _lp.solve
+    monkeypatch.setattr(_lp, "solve",
+                        lambda a, b, max_steps, finished=None: solve(a, b, max_steps))
+    full = error_vs_m_sweep(64, 4, m_values, runs=100, seed=0)
+    np.testing.assert_array_equal(early.mean_error, full.mean_error)
+    np.testing.assert_array_equal(early.std_error, full.std_error)
+    assert early.m_star == full.m_star
 
 
 def test_sweep_reports_no_threshold_crossing():

@@ -286,8 +286,8 @@ def test_exact_bp_repeated_and_mirrored_delays():
 
 def test_exact_bp_singular_normal_equations():
     # With two delays 3e-5 apart, the normal equations of the last steps can
-    # be singular in floating point, as they are for these two schedules;
-    # the step then solves the augmented system instead.
+    # be singular in floating point; a step then solves the augmented system
+    # instead (test_newton_falls_back_to_augmented_system).
     truth = np.zeros(8)
     truth[[2, 3, 7]] = [-0.45, -0.96, 0.14]
     for seed in (1, 26):
@@ -297,6 +297,26 @@ def test_exact_bp_singular_normal_equations():
         res = basis_pursuit(phi, MeasurementVector(phi.entries @ truth))
         assert res.converged
         np.testing.assert_allclose(res.raw, truth, rtol=0.0, atol=1e-12)
+
+
+def test_newton_falls_back_to_augmented_system():
+    # a has independent rows, but a diag(d) a^T rounds to a singular matrix:
+    # the Newton system is solved through the augmented system, for a stack
+    # of right-hand sides and for a single one.
+    a = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 2.0 ** -30, 0.0]])
+    d = np.array([1.0, 1.0, 0.5])
+    ad = a * d
+    k = ad @ a.T
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(k, np.ones(2))
+    rng = np.random.default_rng(4)
+    r1, r2 = rng.standard_normal((2, 3)), rng.standard_normal((2, 2))
+    for rows in (r1, r2), (r1[0], r2[0]):
+        u, v = recovery._lp._newton(a, d, ad, k, *rows)
+        assert u.shape == rows[0].shape and v.shape == rows[1].shape
+        size = max(np.max(np.abs(u)), np.max(np.abs(v)))
+        np.testing.assert_allclose(-u / d + v @ a, rows[0], rtol=0.0, atol=1e-12 * size)
+        np.testing.assert_allclose(u @ a.T, rows[1], rtol=0.0, atol=1e-12 * size)
 
 
 def test_exact_bp_detects_infeasible_nonnegative_data():
@@ -358,18 +378,108 @@ def test_bp_final_residual_finite_for_huge_data():
     np.testing.assert_allclose(res.raw / 1e300, truth, rtol=0.0, atol=1e-12)
 
 
-def test_exact_bp_converged_needs_optimality():
-    # after two steps the refit already fits y exactly, but the dual bound
-    # does not yet prove ||z||_1 optimal
+def test_exact_bp_converged_needs_optimality(monkeypatch):
+    # A refit that fits y is reported converged only once the dual bound
+    # proves it optimal.  The solver is replaced by one that hands the
+    # certification hook two iterates: the first guesses ten wrong columns,
+    # whose refit fits y exactly (ten equations, ten unknowns) with a larger
+    # l1 norm than the one-sparse truth; the second guesses the truth's
+    # support.  Only the second may be certified, at any data scale: at
+    # 1e-12 a certificate with an absolute tolerance of 1e-8 would pass both.
+    # epsilon = 0 keeps such data outside the epsilon-ball around 0.
     phi = sensing_matrix(random_schedule(10, seed=3), 16)
-    truth = np.zeros(16)
-    truth[5] = 0.7
-    y = MeasurementVector(phi.entries @ truth)
-    early = basis_pursuit(phi, y, BPOptions(max_iters=2))
-    assert early.iterations == 2
-    assert early.final_residual <= 1e-12
-    assert not early.converged
-    assert basis_pursuit(phi, y).converged
+    a = phi.entries
+    opts = BPOptions(residual_epsilon=0.0)
+    one = np.zeros(16)
+    one[5] = 0.7
+    wrong = np.zeros(16, dtype=bool)
+    wrong[6:] = True
+    for c in (1.0, 1e-12):
+        truth = c * one
+        y = a @ truth
+        refit = np.zeros(16)
+        refit[wrong] = np.linalg.solve(a[:, wrong], y)
+        assert np.linalg.norm(a @ refit - y) <= 1e-12 * c
+        assert np.abs(refit).sum() > 1.5 * np.abs(truth).sum()
+
+        def iterate(z):
+            # An iterate of the scaled signed program, 0.1% past the refit z,
+            # so that refitting lowers its residual; it guesses the support
+            # z != 0.
+            z = 1.001 * z / np.max(np.abs(y))
+            x = np.concatenate((np.maximum(z, 0.0), np.maximum(-z, 0.0)))
+            return x, np.where(x > 0.0, 0.5 * x, 1.0)
+
+        verdicts = []
+
+        def solve(lp_a, b, max_steps, finished=None):
+            lam = np.zeros(len(b))
+            for z in (refit, truth):
+                x, s = iterate(z)
+                verdicts.append(finished(x, s, lam))
+            return x, s, lam, 2
+
+        with monkeypatch.context() as patch:
+            patch.setattr(recovery._lp, "solve", solve)
+            res = basis_pursuit(phi, MeasurementVector(y), opts)
+        assert verdicts == [False, True]
+        assert res.converged and res.iterations == 2
+        np.testing.assert_allclose(res.raw, truth, rtol=0.0, atol=1e-12 * c)
+    # The real solve certifies the truth's refit at step 1, so a cap of two
+    # steps changes nothing.
+    y = MeasurementVector(a @ one)
+    capped = basis_pursuit(phi, y, BPOptions(max_iters=2))
+    full = basis_pursuit(phi, y)
+    assert capped.converged and full.converged
+    assert capped.iterations == full.iterations == 1
+    np.testing.assert_array_equal(capped.raw, full.raw)
+
+
+def _mixed_problems(count=300):
+    """N in {8, 16, 64}, M in 2..2N, a quarter with a repeated and a quarter
+    with a mirrored delay, a fifth nonnegative, a third noisy (sigma = 0.01),
+    and 1..4 nonzeros, signed unless nonnegative."""
+    for i in range(count):
+        rng = np.random.default_rng(6000 + i)
+        n = (8, 16, 64)[i % 3]
+        m = int(rng.integers(2, 2 * n + 1))
+        alphas = random_schedule(m, seed=6000 + i).alphas.copy()
+        if i % 4 == 1:
+            alphas[-1] = alphas[0]
+        elif i % 4 == 2:
+            alphas[-1] = 2.0 * np.pi - alphas[0]
+        phi = sensing_matrix(DelaySchedule(alphas, ScheduleKind.EXTERNAL), n)
+        nonnegative = i % 5 == 0
+        s = int(rng.integers(1, 5))
+        x = np.zeros(n)
+        x[rng.choice(n, s, replace=False)] = rng.uniform(0.1, 1.0, s) * (
+            1.0 if nonnegative else rng.choice([-1.0, 1.0], s))
+        sigma = 0.01 if i % 3 == 1 else 0.0
+        y = MeasurementVector(phi.entries @ x + sigma * rng.standard_normal(m))
+        yield phi, y, BPOptions(nonnegative=nonnegative)
+
+
+def test_exact_bp_early_stop_matches_full_solve(monkeypatch):
+    # Ending a solve at its first certified refit gives the refit of the
+    # solve run to the solver's tolerance, and the same verdict.
+    problems = list(_mixed_problems())
+    early = [basis_pursuit(phi, y, opts) for phi, y, opts in problems]
+    # The reference solves ignore the hook and run to the solver's own
+    # stopping rule.
+    solve = recovery._lp.solve
+    monkeypatch.setattr(recovery._lp, "solve",
+                        lambda a, b, max_steps, finished=None: solve(a, b, max_steps))
+    converged = 0
+    for (phi, y, opts), res in zip(problems, early):
+        ref = basis_pursuit(phi, y, opts)
+        assert res.converged == ref.converged
+        assert res.iterations <= ref.iterations
+        if res.converged:
+            converged += 1
+            assert res.final_residual <= opts.residual_epsilon + opts.abs_tol
+            gap = np.abs(res.raw - ref.raw).sum()
+            assert gap <= 1e-12 * np.abs(ref.raw).sum()
+    assert 0 < converged < len(problems)
 
 
 def test_bp_converged_implies_feasible():
