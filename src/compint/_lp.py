@@ -3,8 +3,10 @@
 Mehrotra's (1992) predictor-corrector method on the homogeneous self-dual
 embedding, which also detects infeasibility (Xu, Hung & Ye 1996; Andersen &
 Andersen 2000, whose stopping rules of section 4.5 are used).  NumPy only:
-each step solves the normal equations A diag(x/s) A^T with np.linalg.solve,
-once for the predictor and once for the corrector.
+each step solves the normal equations A diag(x/s) A^T + delta I with
+np.linalg.solve, once for the predictor and once for the corrector; delta I
+keeps them nonsingular when rows of A are dependent (Saunders & Tomlin 1996;
+Altman & Gondzio 1999; Friedlander & Orban 2012).
 """
 from __future__ import annotations
 
@@ -19,6 +21,11 @@ TOL = 1e-8
 _STEP_FRACTION = 0.99995
 _MIN_STEP = 1e-12
 
+# delta as a fraction of the largest diagonal entry of A diag(x/s) A^T: above
+# its rounding error, and below the 1/cond(A)^2 of noisy exact fits at M near
+# N, whose steps 1e-12 already perturbs enough to lose converged solves.
+_REGULARISATION = 1e-14
+
 # A solve has also stalled when mu, the mean complementarity, has not fallen
 # by _STALL_FACTOR over the last _STALL_STEPS steps.  Each step lowers mu in
 # exact arithmetic; on ill-conditioned programs rounding leaves it wandering
@@ -28,7 +35,7 @@ _STALL_FACTOR = 0.1
 
 
 def solve(a: np.ndarray, b: np.ndarray, max_steps: int, finished=None):
-    """min 1^T x s.t. a x = b, x >= 0, for `a` with independent rows.
+    """min 1^T x s.t. a x = b, x >= 0, for any `a`, with dependent rows too.
 
     Starts from x = s = 1, lam = 0, tau = kappa = 1, where s are the dual
     slacks 1 - a^T lam and tau, kappa the embedding's scalars.  Returns
@@ -73,6 +80,7 @@ def solve(a: np.ndarray, b: np.ndarray, max_steps: int, finished=None):
             d = x / s
             ad = a * d
             k = ad @ a.T
+            k.flat[::m + 1] += _REGULARISATION * k.diagonal().max()
             # The direction is affine in dtau: (dx, dlam) = (u, v) + dtau (p, q),
             # where (p, q) solves the Newton system for (1, b) and (u, v) for
             # the residuals.  Predictor and (p, q) share one solve.
@@ -126,20 +134,13 @@ def solve(a: np.ndarray, b: np.ndarray, max_steps: int, finished=None):
 def _newton(a, d, ad, k, r1, r2):
     """u, v with -u / d + a^T v = r1 and a u = r2, for each row of r1 and r2.
 
-    Solves the normal equations k v = r2 + a (d r1), k = a diag(d) a^T, given
-    ad = a diag(d).  r1 and r2 are single vectors or stacks of rows.  Near the
-    optimum d spans many orders of magnitude, and when fewer than M entries of
-    x stay large, k can be singular in floating point; then the augmented
-    system [-diag(1/d) a^T; a 0], which is not, is solved instead.
+    Solves the normal equations k v = r2 + a (d r1), given ad = a diag(d) and
+    k = a diag(d) a^T + delta I, which is nonsingular also where rows of a are
+    dependent or, near the optimum, fewer than M entries of x stay large.  r1
+    and r2 are single vectors or stacks of rows.
     """
-    try:
-        v = np.linalg.solve(k, (r2 + r1 @ ad.T).T).T
-        return d * (v @ a - r1), v
-    except np.linalg.LinAlgError:
-        m, n = a.shape
-        kkt = np.block([[np.diag(-1.0 / d), a.T], [a, np.zeros((m, m))]])
-        uv = np.linalg.solve(kkt, np.hstack((r1, r2)).T).T
-        return uv[..., :n], uv[..., n:]
+    v = np.linalg.solve(k, (r2 + r1 @ ad.T).T).T
+    return d * (v @ a - r1), v
 
 
 def _step_length(x, s, tau, kappa, dx, ds, dtau, dkappa) -> float:

@@ -26,10 +26,6 @@ _EVEN_GRID_TOL = 1e-9
 # primal and dual residuals are also compared with 1e-6 times the iterates.
 _REL_TOL = 1e-6
 
-# A row of Phi counts as dependent on others when the squared norm of its part
-# outside their span is below this fraction of the largest squared row norm.
-_RANK_TOL = 1e-12
-
 
 class InsufficientSamplingError(ValueError):
     """Even-grid sampling is below the Nyquist rate for the requested N."""
@@ -192,28 +188,27 @@ def _exact_bp(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
 
     min 1^T (p + q) s.t. Phi (p - q) = y, p, q >= 0, with z = p - q (Chen,
     Donoho & Saunders 1998); with `nonnegative`, min 1^T x s.t. Phi x = y,
-    x >= 0.  Each interior-point step solves with Phi diag(p/s_p + q/s_q)
-    Phi^T.  Data inside the epsilon-ball around 0 give z = 0 at step 1, and
-    infeasible data z = 0 with optimal=False.
+    x >= 0.  Every row of Phi is kept, dependent ones too (M > N, repeated or
+    mirrored delays): each interior-point step solves with
+    Phi diag(p/s_p + q/s_q) Phi^T + delta I, which stays nonsingular.  Data
+    inside the epsilon-ball around 0 give z = 0 at step 1, and infeasible data
+    z = 0 with optimal=False.
 
     An iterate is refit by least squares on its support (`_polish`), and
     `optimal` is a certificate: by weak duality a dual point scaled into the
     dual feasible set bounds the optimum from below, and ||z||_1 must be
     within _lp.TOL of that bound.  From the first step on, each new support
-    guess with at most as many entries as kept rows is refit and, if the
-    refit fits y, tested with the dual iterate projected onto
-    Phi_S^T lam = sign(z_S) (finite termination, Ye 1992); the solve ends at
-    the first step whose refit passes, and `steps` counts the steps before
-    it.  A solve never certified this way runs to the interior-point
-    method's own stopping rule, and its last iterate is refit and tested
-    with the dual iterate itself.
+    guess with at most M entries is refit and, if the refit fits y, tested
+    with the dual iterate projected onto Phi_S^T lam = sign(z_S) (finite
+    termination, Ye 1992); the solve ends at the first step whose refit
+    passes, and `steps` counts the steps before it.  A solve never certified
+    this way runs to the interior-point method's own stopping rule, and its
+    last iterate is refit and tested with the dual iterate itself.
     """
     n = a.shape[1]
     if _norm(yv) <= opts.residual_epsilon:
         return np.zeros(n), 1, True
-    keep = _independent_rows(a)
-    rows, rhs = a[keep], yv[keep]
-    lp_a = rows if opts.nonnegative else np.hstack((rows, -rows))
+    lp_a = a if opts.nonnegative else np.hstack((a, -a))
     # The program is solved for data scaled to max |y| = 1, where the solver's
     # relative tolerances and its start at x = 1 fit every data scale alike.
     scale = np.max(np.abs(yv))
@@ -231,20 +226,20 @@ def _exact_bp(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
     def optimal(z, lam):
         # In the units of the scaled program, where max |y| = 1.
         l1 = float(np.abs(z).sum())
-        bound = float(rhs @ lam) / max(1.0, float((lp_a.T @ lam).max()))
+        bound = float(yv @ lam) / max(1.0, float((lp_a.T @ lam).max()))
         return l1 - bound <= _lp.TOL * (scale + l1)
 
     def finished(x, s, lam):
         nonlocal tried, certified
         support = support_of(x, s)
-        if not 0 < np.count_nonzero(support) <= len(rhs) or np.array_equal(support, tried):
+        if not 0 < np.count_nonzero(support) <= len(yv) or np.array_equal(support, tried):
             return False
         tried = support
         z = _polish(a, yv, weights(x), support)
         if z is None or _norm(a @ z - yv) > opts.residual_epsilon + opts.abs_tol:
             return False
         # The dual iterate projected onto Phi_S^T lam = sign(z_S).
-        cols = rows[:, support]
+        cols = a[:, support]
         try:
             lam = lam + cols @ np.linalg.solve(cols.T @ cols,
                                                np.sign(z[support]) - cols.T @ lam)
@@ -255,7 +250,7 @@ def _exact_bp(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
         certified = z
         return True
 
-    x, s, lam, steps = _lp.solve(lp_a, rhs / scale, opts.max_iters, finished)
+    x, s, lam, steps = _lp.solve(lp_a, yv / scale, opts.max_iters, finished)
     if certified is not None:
         return certified, steps, True
     if x is None:
@@ -264,41 +259,6 @@ def _exact_bp(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
     polished = _polish(a, yv, z, support_of(x, s))
     z = z if polished is None else polished
     return z, steps, optimal(z, lam)
-
-
-def _independent_rows(a: np.ndarray) -> np.ndarray:
-    """A mask of linearly independent rows of Phi.
-
-    Interior-point steps solve with Phi_R D Phi_R^T over the kept rows R,
-    which is singular when rows are dependent: always when M > N, and when
-    two delays repeat or mirror each other (alpha and 2 pi - alpha give the
-    same row).  All rows are kept when the Cholesky factor of Phi Phi^T has
-    no squared pivot below _RANK_TOL times the largest squared row norm.
-    Otherwise rows are picked by Gram-Schmidt with pivoting, while the best
-    remaining row keeps more than that outside the span of those picked.  The
-    dropped equations nearly follow from the kept ones, and the residual test
-    checks them all.
-    """
-    m, n = a.shape
-    norms = (a * a).sum(axis=1)
-    floor = _RANK_TOL * np.max(norms)
-    if m <= n:
-        try:
-            if np.min(np.diagonal(np.linalg.cholesky(a @ a.T))) ** 2 > floor:
-                return np.ones(m, dtype=bool)
-        except np.linalg.LinAlgError:
-            pass
-    rest = a.copy()
-    keep = np.zeros(m, dtype=bool)
-    for _ in range(min(m, n)):
-        j = int(np.argmax(norms))
-        if norms[j] <= floor:
-            break
-        q = rest[j] / np.sqrt(norms[j])
-        rest -= np.outer(rest @ q, q)
-        norms = (rest * rest).sum(axis=1)
-        keep[j] = True
-    return keep
 
 
 def _polish(a: np.ndarray, yv: np.ndarray, z: np.ndarray, support: np.ndarray):

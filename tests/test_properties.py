@@ -83,6 +83,26 @@ def test_bp_row_permutation_invariance(problem, data):
 
 
 @_PROPERTY
+@given(_sparse_problems(), st.data(), st.booleans())
+def test_bp_dependent_row_invariance(problem, data, mirrored):
+    # a repeated delay, or one mirrored to 2 pi - alpha, adds a copy of a row
+    # of Phi and of its datum, which leaves the program as it was
+    phi, x = problem
+    alphas = phi.schedule.alphas
+    alpha = alphas[data.draw(st.integers(0, len(alphas) - 1))]
+    extra = 2.0 * np.pi - alpha if mirrored else alpha
+    doubled = sensing_matrix(
+        DelaySchedule(np.append(alphas, extra), ScheduleKind.EXTERNAL), len(x))
+    opts = BPOptions(max_iters=_CAP)
+    res = basis_pursuit(phi, MeasurementVector(phi.entries @ x), opts)
+    res_doubled = basis_pursuit(doubled, MeasurementVector(doubled.entries @ x),
+                                opts)
+    assert res_doubled.converged == res.converged
+    l1 = np.abs(res.raw).sum()
+    assert abs(np.abs(res_doubled.raw).sum() - l1) <= 1e-8 * l1
+
+
+@_PROPERTY
 @given(_sparse_problems(), st.sampled_from([0.0, 0.01]),
        st.sampled_from([1e-9, 0.05]), st.booleans(),
        st.integers(0, 2 ** 32 - 1))
