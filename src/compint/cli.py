@@ -263,9 +263,6 @@ _SCHEMAS = {
         "n": _Param(64, _COUNT, "number of potential modes"),
         "epsilon": _Param(_default(BPOptions, "residual_epsilon"), _NONNEGATIVE,
                           "BP residual radius"),
-        "rho": _Param(_default(BPOptions, "penalty_rho"), _POSITIVE,
-                      "ADMM penalty parameter, used only when epsilon > "
-                      f"{_default(BPOptions, 'abs_tol'):g}"),
         "max_iters": _Param(_default(BPOptions, "max_iters"), _COUNT,
                             "cap on BP solver steps"),
         "nonnegative": _Param(_default(BPOptions, "nonnegative"), _bool,
@@ -652,7 +649,6 @@ def _run_recover(cfg: RunConfig) -> CommandOutput:
     else:
         opts = BPOptions(
             residual_epsilon=p["epsilon"],
-            penalty_rho=p["rho"],
             max_iters=p["max_iters"],
             nonnegative=p["nonnegative"],
             zero_threshold=p["zero_threshold"],

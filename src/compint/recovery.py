@@ -22,11 +22,6 @@ from .sensing import (DelaySchedule, MeasurementVector, ModalSpectrum,
 # (EVEN_GRID ones exactly; the slack covers files printed with >= 15 digits).
 _EVEN_GRID_TOL = 1e-9
 
-# ADMM's relative stopping tolerance (Boyd et al. 2011, section 3.3.1): the
-# primal and dual residuals are also compared with 1e-6 times the iterates.
-_REL_TOL = 1e-6
-
-
 class InsufficientSamplingError(ValueError):
     """Even-grid sampling is below the Nyquist rate for the requested N."""
 
@@ -44,8 +39,8 @@ class BPOptions:
     Up to abs_tol, the feasibility tolerance of every solve, the program is
     the equality-constrained one, a linear program solved by an interior-point
     method; the default 1e-9 selects it.  Noisy data need a radius matched to
-    the noise, which ADMM solves with penalty penalty_rho.  max_iters caps
-    interior-point steps or ADMM iterations; an interior-point solve often
+    the noise, which the l1 homotopy solves exactly.  max_iters caps
+    interior-point steps or homotopy path steps; an interior-point solve often
     stops well before it, at its first step whose refit on the support found
     is certified optimal.  Set nonnegative to restrict the
     search to x >= 0.  Entries of the solution smaller in magnitude than
@@ -54,7 +49,6 @@ class BPOptions:
     """
 
     residual_epsilon: float = 1e-9
-    penalty_rho: float = 1.0
     abs_tol: float = 1e-8
     max_iters: int = 50000
     nonnegative: bool = False
@@ -63,8 +57,6 @@ class BPOptions:
     def __post_init__(self):
         if self.residual_epsilon < 0:
             raise ValueError("residual_epsilon must be >= 0")
-        if self.penalty_rho <= 0:
-            raise ValueError("penalty_rho must be > 0")
         if self.abs_tol <= 0:
             raise ValueError("abs_tol must be > 0")
         if self.max_iters < 1:
@@ -82,7 +74,7 @@ class RecoveryResult:
     untouched solver output, which failed or noisy recoveries may leave signed;
     error metrics should use it.  `iterations` is 0 for harmonic inversion; for
     Basis Pursuit it counts the interior-point steps taken up to the step
-    whose refit was certified, or the ADMM iterations.
+    whose refit was certified, or the homotopy path steps (epsilon > abs_tol).
     """
 
     spectrum: ModalSpectrum
@@ -155,9 +147,9 @@ def basis_pursuit(phi: SensingMatrix, y: MeasurementVector,
     solver's own feasibility tolerance, so the program is the equality
     constrained one, a linear program solved exactly by `_exact_bp`, which
     stops at the first interior-point step whose refit on the support found
-    is certified optimal.  Larger radii are solved by ADMM (`_admm`).
-    `iterations` counts interior-point steps up to that point, or ADMM
-    iterations, up to max_iters.
+    is certified optimal.  Larger radii are solved by the l1 homotopy
+    (`_homotopy`).  `iterations` counts interior-point steps up to that
+    point, or homotopy path steps, up to max_iters.
 
     A converged result always satisfies ||Phi z - y||_2 <= epsilon + abs_tol.
     Non-convergence (infeasible data, a stall, or the iteration cap) is
@@ -170,7 +162,7 @@ def basis_pursuit(phi: SensingMatrix, y: MeasurementVector,
         raise ValueError(f"measurement length {len(y)} != matrix rows {m}")
     yv = y.values
     eps = opts.residual_epsilon
-    solve = _exact_bp if eps <= opts.abs_tol else _admm
+    solve = _exact_bp if eps <= opts.abs_tol else _homotopy
     z, iterations, converged = solve(a, yv, opts)
     residual = _norm(a @ z - yv)
     return RecoveryResult(
@@ -288,67 +280,79 @@ def _polish(a: np.ndarray, yv: np.ndarray, z: np.ndarray, support: np.ndarray):
     return None
 
 
-def _admm(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
-    """Basis Pursuit for epsilon > abs_tol by ADMM: (z, iterations, converged).
+def _homotopy(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
+    """Basis Pursuit for epsilon > abs_tol by the l1 homotopy: (z, steps, converged).
 
-    ADMM splitting: x carries the quadratic coupling, z the l1 proximal step
-    (soft thresholding, one-sided if nonnegative), and w the projection onto
-    the epsilon-ball around y:
-
-        x <- argmin ||x - z + u1||^2 + ||Phi x - w + u2||^2
-        z <- shrink(x + u1, 1/rho)
-        w <- y + clip(Phi x + u2 - y, epsilon)
-        u1 <- u1 + x - z ;  u2 <- u2 + Phi x - w
-
-    The x-update is linear in the stacked iterates: with B = [I  Phi^T] and
-    G = (I + Phi^T Phi)^-1 B, precomputed once per solve,
-    x = G ((z, w) - (u1, u2)), so an iteration costs O(N (N + M)).
-
-    Stops when the standard primal/dual residual criteria hold and the z
-    iterate itself is feasible to within abs_tol.
+    Follows the Lasso path x(lam) = argmin ||Phi x - y||^2 / 2 + lam ||x||_1
+    (the positive one with `nonnegative`; Osborne, Presnell & Turlach 2000;
+    Efron et al. 2004, section 3.4), one linear segment per step, as lam falls
+    from max |Phi^T y| to where ||Phi x - y|| = epsilon and x solves the
+    program.  Below _lp.TOL times its start, rounding in Phi^T r is no longer
+    small beside lam, and the program counts as infeasible.  `converged`
+    is the KKT certificate, for r = y - Phi x: |Phi^T r| <= lam (1 + _lp.TOL),
+    |Phi^T r - lam sign(x)| <= lam _lp.TOL on the support of x, and
+    | ||r|| - epsilon | <= abs_tol.
     """
-    m, n = a.shape
-    rho = opts.penalty_rho
-    eps = opts.residual_epsilon
-    b = np.hstack((np.eye(n), a.T))
-    g = np.linalg.solve(np.eye(n) + a.T @ a, b)
-
-    # Stacked iterates: zw = (z, w), u = (u1, u2), xa = (x, Phi x).
-    zw = np.zeros(n + m)
-    u = np.zeros(n + m)
-    xa = np.empty(n + m)
-    kappa = 1.0 / rho
-    eps_pri_abs = np.sqrt(n + m) * opts.abs_tol
-    eps_dual_abs = np.sqrt(n) * opts.abs_tol
-
-    iterations = 0
-    converged = False
-    for iterations in range(1, opts.max_iters + 1):
-        x = np.dot(g, zw - u, out=xa[:n])
-        np.dot(a, x, out=xa[n:])
-        v = xa + u
-        vz = v[:n]
-        if opts.nonnegative:
-            z = np.maximum(vz - kappa, 0.0)
-        else:
-            z = np.sign(vz) * np.maximum(np.abs(vz) - kappa, 0.0)
-        d = v[n:] - yv
-        dist = np.linalg.norm(d)
-        w = yv + (d if dist <= eps else d * (eps / dist))
-        zw_prev = zw
-        zw = np.concatenate((z, w))
-        r = xa - zw
-        u += r
-
-        eps_pri = eps_pri_abs + _REL_TOL * max(np.linalg.norm(xa), np.linalg.norm(zw))
-        # The dual side costs two more matvecs: only once the primal test passes.
-        if np.linalg.norm(r) <= eps_pri:
-            dual = rho * np.linalg.norm(b @ (zw - zw_prev))
-            eps_dual = eps_dual_abs + _REL_TOL * rho * np.linalg.norm(b @ u)
-            if dual <= eps_dual and np.linalg.norm(a @ z - yv) <= eps + opts.abs_tol:
-                converged = True
+    n, eps = a.shape[1], opts.residual_epsilon
+    x, signs = np.zeros(n), np.zeros(n)
+    if _norm(yv) <= eps:
+        return x, 0, True
+    c = a.T @ yv
+    j = int(np.argmax(c if opts.nonnegative else np.abs(c)))
+    lam = float(c[j] if opts.nonnegative else abs(c[j]))
+    signs[j] = np.copysign(1.0, c[j])
+    floor, left, steps, reached = _lp.TOL * lam, None, 0, False
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while lam > floor and steps < opts.max_iters:
+            steps += 1
+            on = signs != 0
+            cols = a[:, on]
+            try:
+                d = np.linalg.solve(cols.T @ cols, signs[on])
+            except np.linalg.LinAlgError:
                 break
-    return z, iterations, converged
+            q = signs[on] @ d
+            if not 0 < q < np.inf:  # s^T G^-1 s > 0 unless the Gram G is singular
+                break
+            r, u = yv - cols @ x[on], cols @ d
+            c, v = a.T @ r, a.T @ u
+            # The falls in lam at which an entry off the support S joins it with
+            # sign +1 (up) or -1 (down), or one on S reaches 0.  An entry that has
+            # just left S may not rejoin with its old sign: rounding allows it at once.
+            up, down = _positive((lam - c) / (1.0 - v)), _positive((lam + c) / (1.0 + v))
+            if left is not None:
+                (up if left[1] > 0 else down)[left[0]] = np.inf
+            join = up if opts.nonnegative else np.minimum(up, down)
+            join[on] = np.inf
+            leave = np.full(n, np.inf)
+            leave[on] = _positive(-x[on] / d)
+            # ||r||^2 falls by (lam^2 - (lam - t)^2) q over a fall of t.
+            rest = lam * lam - max(r @ r - eps * eps, 0.0) / q
+            t_eps = lam - math.sqrt(rest) if rest >= 0 else np.inf
+            j, k = int(np.argmin(join)), int(np.argmin(leave))
+            t = min(join[j], leave[k], t_eps, lam)
+            reached, left, rt = t == t_eps, None, r - t * u
+            if reached and rt @ u > 0:  # Newton: rest loses digits where ||r|| >> eps
+                t = min(join[j], leave[k], lam, t + (rt @ rt - eps * eps) / (2 * rt @ u))
+            x[on] += t * d
+            lam -= t
+            if reached:
+                break
+            if t == leave[k]:
+                x[k], left, signs[k] = 0.0, (k, signs[k]), 0.0
+            elif t == join[j]:
+                signs[j] = np.copysign(1.0, c[j] - t * v[j])
+    r = yv - a @ x
+    c, on = a.T @ r, x != 0
+    top = c.max() if opts.nonnegative else np.abs(c).max()
+    return x, steps, bool(reached and abs(_norm(r) - eps) <= opts.abs_tol
+                          and top <= lam * (1.0 + _lp.TOL)
+                          and np.all(np.abs(c[on] - lam * np.sign(x[on])) <= lam * _lp.TOL))
+
+
+def _positive(t: np.ndarray) -> np.ndarray:
+    """t with each entry that is not > 0 (NaN too) replaced by inf."""
+    return np.where(t > 0, t, np.inf)
 
 
 def reconstruction_error(reference, estimate) -> float:

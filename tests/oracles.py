@@ -77,16 +77,18 @@ def laguerre_gauss_radial(r, p, waist=1.0):
     return (2.0 / waist) * eval_laguerre(p, u) * np.exp(-0.5 * u)
 
 
-def admm_reference(a, yv, opts):
-    """Basis Pursuit by ADMM with a cached Cholesky x-update.
+def admm_reference(a, yv, opts, rho=1.0):
+    """Basis Pursuit by ADMM with penalty rho and a cached Cholesky x-update.
 
-    Same arithmetic and stopping rule as `compint.recovery._admm`,
-    written the long way: every iteration solves the x-update by
-    back-substitution and computes both residuals.  Returns
+    min ||x||_1 s.t. ||Phi x - y||_2 <= opts.residual_epsilon (x >= 0 with
+    opts.nonnegative), by the splitting of Boyd et al. (2011): x carries the
+    quadratic coupling, z the l1 proximal step and w the projection onto the
+    epsilon-ball.  Stops on the primal and dual residual tests of their
+    section 3.3.1 (absolute opts.abs_tol, relative 1e-6) once z is feasible to
+    within abs_tol, or after opts.max_iters iterations.  Returns
     (z, iterations, converged).
     """
     m, n = a.shape
-    rho = opts.penalty_rho
     eps = opts.residual_epsilon
     factor = cho_factor(np.eye(n) + a.T @ a)
 
@@ -96,7 +98,7 @@ def admm_reference(a, yv, opts):
     u1 = np.zeros(n)
     u2 = np.zeros(m)
     kappa = 1.0 / rho
-    rel_tol = 1e-6  # basis_pursuit's fixed relative stopping tolerance
+    rel_tol = 1e-6
     sqrt_nm = np.sqrt(n + m)
     sqrt_n = np.sqrt(n)
 

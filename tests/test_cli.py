@@ -27,6 +27,7 @@ from compint.cli import (
     parse_config,
     render_text,
 )
+from compint.recovery import BPOptions
 from compint.sensing import ScheduleKind
 
 TWO_PI = 2.0 * math.pi
@@ -128,7 +129,7 @@ _HUGE = "1" + "0" * 400  # a JSON integer past the float range
 
 
 @pytest.mark.parametrize("command, config, key", [
-    ("recover", '{"rho": %s}' % _HUGE, "rho"),
+    ("recover", '{"epsilon": %s}' % _HUGE, "epsilon"),
     ("simulate", '{"weights": [%s]}' % _HUGE, "weights"),
     ("simulate", '{"modes": {"1": %s}}' % _HUGE, "modes"),
     ("sweep", '{"m_values": [Infinity]}', "m_values"),
@@ -170,6 +171,19 @@ def test_rejected_json_values_exit_config(tmp_path, capsys, command, config,
     path.write_text(config)
     assert main([command, "--config", str(path)]) == EXIT_CONFIG
     assert f"config error: key '{key}'" in capsys.readouterr().err
+
+
+def test_rho_is_rejected_as_flag_and_key(tmp_path, capsys):
+    # no solver penalty is left to set, under either spelling
+    sim = str(tmp_path / "in.csv")
+    with pytest.raises(SystemExit) as info:
+        main(["recover", sim, "--rho", "1"])
+    assert info.value.code == EXIT_CONFIG
+    path = tmp_path / "cfg.json"
+    path.write_text('{"rho": 1}')
+    capsys.readouterr()
+    assert main(["recover", sim, "--config", str(path)]) == EXIT_CONFIG
+    assert "unknown key 'rho'" in capsys.readouterr().err
 
 
 def test_json_null_leaves_none_default_unset(tmp_path):
@@ -511,6 +525,25 @@ def test_simulate_then_recover_bp(tmp_path, capsys):
     assert body["data"]["converged"] is True
     deleted = np.delete(weights, 4)
     assert np.max(deleted) < 1e-3
+
+
+def test_noisy_simulate_then_recover_at_matched_epsilon(tmp_path):
+    # epsilon = sigma sqrt(M + 2 sqrt(2M)), the usual bound on the noise norm
+    sigma, m = 0.01, 30
+    eps = sigma * math.sqrt(m + 2 * math.sqrt(2 * m))
+    sim = tmp_path / "sim.csv"
+    assert main(["simulate", "--scenario", "hg0+hg1", "--schedule", "random",
+                 "--m", str(m), "--noise-sigma", str(sigma), "--format", "csv",
+                 "--out", str(sim)]) == EXIT_OK
+    argv = ["recover", str(sim), "--epsilon", repr(eps), "--strict"]
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    assert main(argv + ["--out", str(a)]) == EXIT_OK
+    assert main(argv + ["--out", str(b)]) == EXIT_OK
+    assert a.read_bytes() == b.read_bytes()
+    data = json.loads(a.read_text())["data"]
+    assert data["converged"] is True
+    assert data["final_residual"] <= eps + BPOptions().abs_tol
 
 
 def test_recover_csv_output(tmp_path, capsys):
