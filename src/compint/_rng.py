@@ -8,11 +8,27 @@ work is split across threads.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
 
 _U64 = (1 << 64) - 1
+
+_ZEROS = np.zeros(4, dtype=np.uint64)
+_ZEROS.flags.writeable = False
+
+
+@functools.cache
+def _seed_sequence() -> np.random.SeedSequence:
+    """The fixed seed sequence every stream's Philox is built from.
+
+    Philox(key=...) would build a SeedSequence from OS entropy that the key
+    then overrides; `stream` sets the key and a zero counter instead, which
+    is Philox(key=...)'s start.  It is built on first use, as numpy imports
+    np.random only then.
+    """
+    return np.random.SeedSequence(0)
 
 
 def _digest(seed: int, tags: tuple) -> bytes:
@@ -34,5 +50,10 @@ def derive_seed(seed: int, *tags) -> int:
 
 def stream(seed: int, *tags) -> np.random.Generator:
     """Independent Generator for (seed, *tags)."""
-    key = np.frombuffer(_digest(seed, tags), dtype="<u8")
-    return np.random.Generator(np.random.Philox(key=key))
+    bit_generator = np.random.Philox(_seed_sequence())
+    bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": np.frombuffer(_digest(seed, tags), dtype="<u8")},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return np.random.Generator(bit_generator)

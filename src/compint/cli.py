@@ -264,7 +264,8 @@ _SCHEMAS = {
         "epsilon": _Param(_default(BPOptions, "residual_epsilon"), _NONNEGATIVE,
                           "BP residual radius"),
         "max_iters": _Param(_default(BPOptions, "max_iters"), _COUNT,
-                            "cap on BP solver steps"),
+                            "cap on BP l1-path steps, and on the interior-point "
+                            "fallback's steps; iterations counts both"),
         "nonnegative": _Param(_default(BPOptions, "nonnegative"), _bool,
                               "restrict BP to nonnegative weights"),
         "zero_threshold": _Param(_default(BPOptions, "zero_threshold"),
@@ -295,7 +296,8 @@ _SCHEMAS = {
         "threshold": _Param(_default(error_vs_m_sweep, "threshold"), _POSITIVE,
                             "mean-error threshold for m_star"),
         "max_iters": _Param(_default(error_vs_m_sweep, "opts").max_iters,
-                            _COUNT, "cap on BP solver steps per solve"),
+                            _COUNT, "cap on BP l1-path steps per solve, and on "
+                            "the interior-point fallback's steps"),
     },
     "scenario": {
         "name": _Param("hg0", _string, "builtin beam name"),

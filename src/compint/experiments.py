@@ -14,10 +14,10 @@ import numpy as np
 
 from ._rng import derive_seed, stream
 from .modes import BasisKind, ComplexModalField, ModeBasis, _own_vector
-from .recovery import (BPOptions, RecoveryResult, basis_pursuit, ft_recover,
+from .recovery import (BPOptions, RecoveryResult, _ft_invert, basis_pursuit,
                        reconstruction_error)
 from .sensing import (ModalSpectrum, _measure, nyquist_schedule, random_schedule,
-                      sample_interferogram, sensing_matrix)
+                      sensing_matrix)
 
 _FIELD_WEIGHT_TOL = 1e-9
 
@@ -166,9 +166,10 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """
     truth = spec.spectrum
     nyq = nyquist_schedule(spec.nyquist_m)
-    y_nyq = sample_interferogram(truth, nyq, spec.noise_sigma,
-                                 derive_seed(spec.seed, "scenario-nyquist"))
-    ft = ft_recover(y_nyq, nyq, truth.n_modes)
+    phi_nyq = sensing_matrix(nyq, truth.n_modes)
+    y_nyq = _measure(phi_nyq, truth, spec.noise_sigma,
+                     derive_seed(spec.seed, "scenario-nyquist"))
+    ft = _ft_invert(y_nyq, phi_nyq)
 
     cs = random_schedule(spec.cs_m, derive_seed(spec.seed, "scenario-schedule"))
     phi = sensing_matrix(cs, truth.n_modes)

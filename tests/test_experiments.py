@@ -13,7 +13,7 @@ from compint.experiments import (
     scenario_by_name,
 )
 from compint.modes import BasisKind, ComplexModalField, ModeBasis
-from compint import _lp
+from compint import _lp, experiments, recovery
 from compint.recovery import reconstruction_error
 from compint.sensing import ModalSpectrum
 
@@ -161,6 +161,47 @@ def test_sweep_unchanged_by_early_stop(monkeypatch):
     np.testing.assert_array_equal(early.mean_error, full.mean_error)
     np.testing.assert_array_equal(early.std_error, full.std_error)
     assert early.m_star == full.m_star
+
+
+def _recorded_sweep(monkeypatch, *args, **kwargs):
+    """error_vs_m_sweep(*args, **kwargs) and the RecoveryResult of each solve."""
+    solves = []
+    solve = experiments.basis_pursuit
+
+    def recording(*bp_args):
+        solves.append(solve(*bp_args))
+        return solves[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "basis_pursuit", recording)
+        return error_vs_m_sweep(*args, **kwargs), solves
+
+
+def test_sweep_path_route_matches_lp_route(monkeypatch):
+    # Criterion 6's sweep with 20 runs: the solves certified on the l1 path
+    # and those the LP alone makes have the same verdicts, and converged raw
+    # outputs within 1e-12 relative l1.
+    args = (64, 4, range(5, 51, 5))
+    path, path_solves = _recorded_sweep(monkeypatch, *args, runs=20)
+    monkeypatch.setattr(recovery, "_lasso_path", lambda *a: iter(()))
+    lp, lp_solves = _recorded_sweep(monkeypatch, *args, runs=20)
+    assert len(path_solves) == len(lp_solves) == 200
+    for res, ref in zip(path_solves, lp_solves):
+        assert res.converged == ref.converged
+        if res.converged:
+            assert np.abs(res.raw - ref.raw).sum() <= 1e-12 * np.abs(ref.raw).sum()
+    assert path.m_star == lp.m_star
+
+
+def test_sweep_refit_leaves_exact_zeros(monkeypatch):
+    # Two one-run sweeps whose refit, certified early on the LP, kept a column
+    # of the support guess at a round-off value (4.2e-17 and 3.3e-17), so the
+    # error was 1.4e-32 and 2.6e-33.  The path refits only the entries that
+    # keep their path sign, and the solution is the truth to the last bit.
+    for m, seed in ((5, 1), (10, 2)):
+        sweep, (res,) = _recorded_sweep(monkeypatch, 64, 4, [m], 1, seed=seed)
+        assert res.converged
+        assert sweep.mean_error[0] == 0.0
 
 
 def test_sweep_reports_no_threshold_crossing():

@@ -455,15 +455,22 @@ def test_bp_final_residual_finite_for_huge_data():
     np.testing.assert_allclose(res.raw / 1e300, truth, rtol=0.0, atol=1e-12)
 
 
+def _lp_only(patch):
+    """Send every exact solve to the interior-point LP: the l1 path yields no
+    segment, so `_exact_bp` falls back at once."""
+    patch.setattr(recovery, "_lasso_path", lambda *args: iter(()))
+
+
 def test_exact_bp_converged_needs_optimality(monkeypatch):
-    # A refit that fits y is reported converged only once the dual bound
-    # proves it optimal.  The solver is replaced by one that hands the
-    # certification hook two iterates: the first guesses ten wrong columns,
-    # whose refit fits y exactly (ten equations, ten unknowns) with a larger
-    # l1 norm than the one-sparse truth; the second guesses the truth's
-    # support.  Only the second may be certified, at any data scale: at
-    # 1e-12 a certificate with an absolute tolerance of 1e-8 would pass both.
-    # epsilon = 0 keeps such data outside the epsilon-ball around 0.
+    # On the LP route, a refit that fits y is reported converged only once
+    # the dual bound proves it optimal.  The path is turned off, and the
+    # solver is replaced by one that hands the certification hook two
+    # iterates: the first guesses ten wrong columns, whose refit fits y
+    # exactly (ten equations, ten unknowns) with a larger l1 norm than the
+    # one-sparse truth; the second guesses the truth's support.  Only the
+    # second may be certified, at any data scale: at 1e-12 a certificate with
+    # an absolute tolerance of 1e-8 would pass both.  epsilon = 0 keeps such
+    # data outside the epsilon-ball around 0.
     phi = sensing_matrix(random_schedule(10, seed=3), 16)
     a = phi.entries
     opts = BPOptions(residual_epsilon=0.0)
@@ -497,19 +504,24 @@ def test_exact_bp_converged_needs_optimality(monkeypatch):
             return x, s, lam, 2
 
         with monkeypatch.context() as patch:
+            _lp_only(patch)
             patch.setattr(recovery._lp, "solve", solve)
             res = basis_pursuit(phi, MeasurementVector(y), opts)
         assert verdicts == [False, True]
         assert res.converged and res.iterations == 2
         np.testing.assert_allclose(res.raw, truth, rtol=0.0, atol=1e-12 * c)
-    # The real solve certifies the truth's refit at step 1, so a cap of two
-    # steps changes nothing.
+    # The real LP certifies the truth's refit at step 1, and so does the
+    # path, so a cap of two steps changes nothing on either route.
     y = MeasurementVector(a @ one)
-    capped = basis_pursuit(phi, y, BPOptions(max_iters=2))
-    full = basis_pursuit(phi, y)
-    assert capped.converged and full.converged
-    assert capped.iterations == full.iterations == 1
-    np.testing.assert_array_equal(capped.raw, full.raw)
+    for lp_only in (True, False):
+        with monkeypatch.context() as patch:
+            if lp_only:
+                _lp_only(patch)
+            capped = basis_pursuit(phi, y, BPOptions(max_iters=2))
+            full = basis_pursuit(phi, y)
+        assert capped.converged and full.converged
+        assert capped.iterations == full.iterations == 1
+        np.testing.assert_array_equal(capped.raw, full.raw)
 
 
 def _mixed_problems(count=300):
@@ -557,6 +569,115 @@ def test_exact_bp_early_stop_matches_full_solve(monkeypatch):
             gap = np.abs(res.raw - ref.raw).sum()
             assert gap <= 1e-12 * np.abs(ref.raw).sum()
     assert 0 < converged < len(problems)
+
+
+def test_path_route_matches_lp_route(monkeypatch):
+    # The l1 path certifies most exact solves; each one it certifies has the
+    # verdict of the LP alone and its raw within 1e-12 relative l1, and the
+    # ones it cannot certify fall back to the LP.  The problems include
+    # nonnegative ones and repeated or mirrored delays.
+    problems = list(_mixed_problems())
+    default = [basis_pursuit(phi, y, opts) for phi, y, opts in problems]
+    on_path = [recovery._path_bp(phi.entries, y.values, opts)[0] is not None
+               for phi, y, opts in problems]
+    _lp_only(monkeypatch)
+    converged = 0
+    for (phi, y, opts), res in zip(problems, default):
+        ref = basis_pursuit(phi, y, opts)
+        assert res.converged == ref.converged
+        if res.converged:
+            converged += 1
+            gap = np.abs(res.raw - ref.raw).sum()
+            assert gap <= 1e-12 * np.abs(ref.raw).sum()
+    assert 0 < sum(on_path) < converged
+    # Problems 1, 5, 9, ... have a repeated delay, 2, 6, 10, ... a mirrored
+    # one, and every fifth is nonnegative.
+    assert any(on_path[1::4]) and any(on_path[2::4]) and any(on_path[::5])
+
+
+def test_path_falls_back_where_it_cannot_certify():
+    # At M = 5 the l1 solution of three-sparse data has five entries, more
+    # than the path keeps (min(M, N) / 2): the path gives up after three
+    # steps, and the LP solves the program.
+    rng = np.random.default_rng(1)
+    x = np.zeros(64)
+    x[rng.choice(64, 3, replace=False)] = rng.uniform(0.1, 1.0, 3)
+    phi = sensing_matrix(random_schedule(5, seed=1), 64)
+    y = MeasurementVector(phi.entries @ x)
+    z, steps = recovery._path_bp(phi.entries, y.values, BPOptions())
+    assert z is None and steps == 3
+    res = basis_pursuit(phi, y)
+    assert res.converged and res.iterations > steps
+    assert np.count_nonzero(res.raw) == 5
+    assert res.final_residual <= 1e-12
+    # With more delays than modes, noisy data lie outside the range of Phi:
+    # the least-squares fit on every column shows it, and the path is not
+    # walked at all.
+    truth = ModalSpectrum(np.array([0.0, 0.6, 0.0, 0.4, 0.0]))
+    sched = random_schedule(12, seed=4)
+    phi = sensing_matrix(sched, 5)
+    noisy = sample_interferogram(truth, sched, 0.01, seed=5)
+    z, steps = recovery._path_bp(phi.entries, noisy.values, BPOptions())
+    assert z is None and steps == 0
+    assert not basis_pursuit(phi, noisy).converged
+
+
+def test_path_certifies_only_with_the_dual_bound(monkeypatch):
+    # An exact fit on the path's active set is returned only once the dual
+    # bound proves it optimal.  A walk is faked that reaches the support of
+    # five-sparse data whose l1 optimum has ten entries and a smaller norm:
+    # the refit fits y exactly and keeps every sign, but the dual point
+    # Phi_S G^-1 s that such a path would give is infeasible, and its bound
+    # rejects the refit.  The LP then finds the optimum.
+    rng = np.random.default_rng(1)
+    x = np.zeros(16)
+    x[rng.choice(16, 5, replace=False)] = (rng.uniform(0.5, 1.0, 5)
+                                          * rng.choice([-1.0, 1.0], 5))
+    phi = sensing_matrix(random_schedule(10, seed=1), 16)
+    a = phi.entries
+    y = a @ x
+    on = x != 0
+    cols = a[:, on]
+    dual = cols @ np.linalg.solve(cols.T @ cols, np.sign(x[on]))
+    assert np.abs(a.T @ dual).max() > 1.0
+    segment = recovery._Segment(on, np.sign(x), None, 1.0, None, x[on], dual,
+                                None, None, None)
+    monkeypatch.setattr(recovery, "_lasso_path", lambda *args: iter([segment]))
+    z, steps = recovery._path_bp(a, y, BPOptions())
+    assert z is None and steps == 1
+    res = basis_pursuit(phi, MeasurementVector(y))
+    assert res.converged and res.iterations > 1
+    assert np.abs(res.raw).sum() < np.abs(x).sum() - 0.5
+
+
+def test_path_residual_gate_is_relative(monkeypatch):
+    # The path certifies a refit only where the least-squares fit on its
+    # active set leaves a residual below _lp.TOL max |y| too, not only below
+    # epsilon + abs_tol.  The first path step of these two-sparse data fits
+    # one column; at scale 1e-8 its residual is below abs_tol, and an
+    # absolute gate alone would certify that wrong support.  At every scale
+    # the path certifies the truth's support instead, and returns the truth
+    # wherever the LP alone does.
+    phi = sensing_matrix(random_schedule(10, seed=3), 16)
+    a = phi.entries
+    truth = np.zeros(16)
+    truth[[5, 12]] = [0.7, -0.2]
+    opts = BPOptions(residual_epsilon=0.0)
+    for c in (1e-12, 1e-8, 1.0, 1e6):
+        y = c * (a @ truth)
+        column = np.argmax(np.abs(a.T @ y))
+        one = a[:, column] * (a[:, column] @ y) / (a[:, column] @ a[:, column])
+        if c == 1e-8:
+            assert np.linalg.norm(y - one) <= opts.abs_tol
+        z, _ = recovery._path_bp(a, y, opts)
+        assert z is not None and np.array_equal(z != 0, truth != 0)
+        res = basis_pursuit(phi, MeasurementVector(y), opts)
+        with monkeypatch.context() as patch:
+            _lp_only(patch)
+            ref = basis_pursuit(phi, MeasurementVector(y), opts)
+        assert res.converged == ref.converged
+        if np.allclose(ref.raw / c, truth, rtol=0.0, atol=1e-12):
+            np.testing.assert_allclose(res.raw / c, truth, rtol=0.0, atol=1e-12)
 
 
 def test_bp_converged_implies_feasible():

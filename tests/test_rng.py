@@ -1,6 +1,6 @@
 import numpy as np
 
-from compint._rng import derive_seed, stream
+from compint._rng import _digest, derive_seed, stream
 
 
 def test_stream_deterministic():
@@ -40,3 +40,25 @@ def test_derive_seed_range_and_determinism():
     assert 0 <= s < 2 ** 64
     assert s != derive_seed(3, "schedule", 6)
 
+
+def test_stream_draws_match_philox_keyed_by_digest():
+    # stream() sets the state of a Philox built from a fixed seed sequence;
+    # every draw method the package uses must match Philox(key=digest), the
+    # generator it stands for, over many (seed, tags) pairs.
+    rng = np.random.default_rng(12)
+    draws = (
+        lambda g: g.uniform(0.0, 2.0 * np.pi, 7),
+        lambda g: g.standard_normal((3, 5)),
+        lambda g: g.normal(0.0, 0.01, 9),
+        lambda g: g.integers(0, 1000, size=11),
+        lambda g: g.integers(1, 5),
+        lambda g: g.choice(64, size=4, replace=False),
+    )
+    for i in range(200):
+        seed = int(rng.integers(0, 2 ** 63))
+        tags = (("sweep-vector", i), ("eta-block", i % 7), ("delay-schedule",), (i,))[i % 4]
+        key = np.frombuffer(_digest(seed, tags), dtype="<u8")
+        ours = stream(seed, *tags)
+        reference = np.random.Generator(np.random.Philox(key=key))
+        for draw in draws:
+            np.testing.assert_array_equal(draw(ours), draw(reference))
