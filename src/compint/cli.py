@@ -264,8 +264,8 @@ _SCHEMAS = {
         "epsilon": _Param(_default(BPOptions, "residual_epsilon"), _NONNEGATIVE,
                           "BP residual radius"),
         "max_iters": _Param(_default(BPOptions, "max_iters"), _COUNT,
-                            "cap on BP l1-path steps, and on the interior-point "
-                            "fallback's steps; iterations counts both"),
+                            "cap on BP solver steps (one linear solve each), "
+                            "which iterations counts"),
         "nonnegative": _Param(_default(BPOptions, "nonnegative"), _bool,
                               "restrict BP to nonnegative weights"),
         "zero_threshold": _Param(_default(BPOptions, "zero_threshold"),
@@ -296,8 +296,7 @@ _SCHEMAS = {
         "threshold": _Param(_default(error_vs_m_sweep, "threshold"), _POSITIVE,
                             "mean-error threshold for m_star"),
         "max_iters": _Param(_default(error_vs_m_sweep, "opts").max_iters,
-                            _COUNT, "cap on BP l1-path steps per solve, and on "
-                            "the interior-point fallback's steps"),
+                            _COUNT, "cap on BP solver steps per solve"),
     },
     "scenario": {
         "name": _Param("hg0", _string, "builtin beam name"),

@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _lp
 from .modes import _own
 from .sensing import (DelaySchedule, MeasurementVector, ModalSpectrum,
                       SensingMatrix, _as_vector, even_alphas, sensing_matrix)
@@ -22,6 +21,11 @@ from .sensing import (DelaySchedule, MeasurementVector, ModalSpectrum,
 # A schedule counts as evenly spaced if each alpha_j is within this of 2*pi*j/M
 # (EVEN_GRID ones exactly; the slack covers files printed with >= 15 digits).
 _EVEN_GRID_TOL = 1e-9
+
+# Relative tolerance of the Basis Pursuit solvers: the residual gate and the
+# duality gap of exact solves, their pivot tolerance, the KKT test of the
+# homotopy and the floor of the Lasso path's lam.
+TOL = 1e-8
 
 class InsufficientSamplingError(ValueError):
     """Even-grid sampling is below the Nyquist rate for the requested N."""
@@ -39,12 +43,12 @@ class BPOptions:
     residual_epsilon is the data-fidelity radius ||Phi x - y||_2 <= eps.
     Up to abs_tol, the feasibility tolerance of every solve, the program is
     the equality-constrained one, a linear program; the default 1e-9 selects
-    it.  Such a solve first follows the l1 path and returns the first refit
-    that a duality certificate proves optimal; where the path cannot certify
-    one, an interior-point method solves the linear program.  Noisy data
-    need a radius matched to the noise, which the l1 homotopy solves
-    exactly.  max_iters caps the path steps, and separately the
-    interior-point steps of the fallback; most solves stop well before it.
+    it.  Such a solve climbs the dual of the linear program along the l1
+    path and, once its active set is a basis, pivots as the dual simplex
+    method does; it returns the first refit that a duality certificate
+    proves optimal.  Noisy data need a radius matched to the noise, which
+    the l1 homotopy solves exactly.  max_iters caps the steps of either
+    solver, each one linear solve; most solves stop well before it.
     Set nonnegative to restrict the search to x >= 0.  Entries of the
     solution smaller in magnitude than zero_threshold are snapped to 0 in the
     reported spectrum (the raw solution is kept alongside).
@@ -75,9 +79,9 @@ class RecoveryResult:
     and clipped at 0 (weights are physically nonnegative).  `raw` is the
     untouched solver output, which failed or noisy recoveries may leave signed;
     error metrics should use it.  `iterations` is 0 for harmonic inversion.
-    For Basis Pursuit it counts the l1 path steps (one linear solve each)
-    plus, where the interior-point fallback ran, its steps up to the one
-    whose refit was certified; at epsilon > abs_tol, the homotopy path steps.
+    For Basis Pursuit it counts the solver's steps, one linear solve each:
+    those of the exact solver up to the one whose refit was certified, or at
+    epsilon > abs_tol the homotopy path steps.
     """
 
     spectrum: ModalSpectrum
@@ -153,17 +157,15 @@ def basis_pursuit(phi: SensingMatrix, y: MeasurementVector,
 
     With residual_epsilon <= abs_tol the epsilon-ball is smaller than the
     solver's own feasibility tolerance, so the program is the equality
-    constrained one, a linear program solved exactly by `_exact_bp`: the l1
-    path certifies the solution first, and an interior-point method is the
-    fallback where it cannot.  Larger radii are solved by the l1 homotopy
-    (`_homotopy`).  `iterations` counts the path steps plus any
-    interior-point steps, or the homotopy path steps; max_iters caps the
-    path and the interior-point method each.
+    constrained one, a linear program solved exactly by `_exact_bp`, an
+    ascent along the l1 path with a dual simplex end game.  Larger radii are
+    solved by the l1 homotopy (`_homotopy`).  `iterations` counts either
+    solver's steps, and max_iters caps them.
 
     A converged result always satisfies ||Phi z - y||_2 <= epsilon + abs_tol.
-    Non-convergence (infeasible data, a stall, or the iteration cap) is
-    reported through converged=False, never raised; `raw` is finite either
-    way, and nonnegative when opts.nonnegative is set.
+    Non-convergence (infeasible data, a singular system, or the iteration
+    cap) is reported through converged=False, never raised; `raw` is finite
+    either way, and nonnegative when opts.nonnegative is set.
     """
     a = phi.entries
     m = a.shape[0]
@@ -185,147 +187,143 @@ def basis_pursuit(phi: SensingMatrix, y: MeasurementVector,
 
 
 def _exact_bp(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
-    """Noiseless Basis Pursuit, certified on the l1 path or as a linear program:
-    (z, steps, optimal).
+    """Noiseless Basis Pursuit as a linear program: (z, steps, optimal).
 
-    The program is min ||z||_1 s.t. Phi z = y (with `nonnegative`, z >= 0
-    too).  Data inside the epsilon-ball around 0 give z = 0 at step 1.  The
-    l1 path (`_path_bp`) is tried first, and the linear program is the
-    fallback where the path cannot certify a solution: min 1^T (p + q) s.t.
-    Phi (p - q) = y, p, q >= 0, with z = p - q (Chen, Donoho & Saunders
-    1998), or min 1^T x s.t. Phi x = y, x >= 0, by `_lp.solve` with its own
-    cap of max_iters steps.  Every row of Phi is kept, dependent ones too
-    (M > N, repeated or mirrored delays): each interior-point step solves
-    with Phi diag(p/s_p + q/s_q) Phi^T + delta I, which stays nonsingular.
-    From the first step on, each new support guess with at most M entries is
-    refit (`_polish`) and, if the refit fits y to within epsilon + abs_tol,
-    tested with the dual iterate (`_certified`; finite termination, Ye 1992);
-    the solve ends at the first step whose refit passes.  A solve never
-    certified this way runs to the interior-point method's own stopping rule,
-    and its last iterate is refit and tested with the unprojected dual
-    iterate.  Infeasible data give z = 0 with optimal=False.  `steps` counts
-    the path steps plus the interior-point steps taken before the certified
-    one.
+    The program is min ||z||_1 s.t. Phi z = y (z >= 0 too with
+    `nonnegative`).  One loop solves its dual, max y^T nu s.t.
+    ||Phi^T nu||_inf <= 1 (Phi^T nu <= 1), the parametric-simplex view of the
+    Lasso path (Osborne, Presnell & Turlach 2000; Pang, Liu, Vanderbei & Zhao
+    2017).  It keeps a dual-feasible nu and a set S of columns tight at it,
+    with signs s and Phi_S^T nu = s.  Each step solves with G = Phi_S^T Phi_S
+    for the least-squares fit of y on S (refined once, as in `_refit`) and
+    for the shift that puts nu back on Phi_S^T nu = s, then moves nu along a
+    direction delta until a free column reaches its bound and joins S.  In
+    that ratio test, rates below TOL ||phi_j|| ||delta|| count as 0, and
+    gaps that rounding left below 0 as 0.
+
+    - Ascent.  S starts as the column of largest |Phi^T y| (Phi^T y with
+      `nonnegative`), and nu as y over that correlation.  While y is not fit
+      on S, delta is the fit's residual: the dual ray of the Lasso path,
+      which reaches an s-sparse solution in about s steps on incoherent data
+      (Donoho & Tsaig 2008).  Once y is fit but a sign disagrees, delta is
+      the part off span(Phi_S) of the free column nearest its bound.
+    - Dual simplex.  S is a basis once it holds min(M, N) columns, or no free
+      column has a part off span(Phi_S) above TOL times its norm.  Then the
+      entry of largest sign violation leaves, delta = -s_i Phi_S G^-1 e_i,
+      and the column that the ratio test picks enters; in the signed program
+      that may be the leaving column with its sign flipped.
+
+    Where the fit's residual is within min(epsilon + abs_tol, TOL max |y|),
+    a bound relative to the data so that it means the same at every scale,
+    the entries of S that keep their sign (and are not below 1e-9 of the
+    largest) are refit (`_refit`), and the refit is returned once nu
+    certifies it (`_certified`).  Data inside the epsilon-ball around 0 give
+    z = 0 at step 1.  The solve ends unconverged where the data are
+    infeasible (y is not fit on a basis, or no column can join while it is
+    not fit), where a basis keeps every sign but its refit is not
+    certified, or after max_iters steps, with z the last fit on S (clipped
+    at 0 under `nonnegative`); and where G is singular, with z = 0.
     """
     m, n = a.shape
     if _norm(yv) <= opts.residual_epsilon:
         return np.zeros(n), 1, True
-    z, path_steps = _path_bp(a, yv, opts)
-    if z is not None:
-        return z, path_steps, True
-
-    lp_a = a if opts.nonnegative else np.hstack((a, -a))
-    # The program is solved for data scaled to max |y| = 1, where the solver's
-    # relative tolerances and its start at x = 1 fit every data scale alike.
-    scale = np.max(np.abs(yv))
-    tried = certified = None
-
-    def support_of(x, s):
-        # An entry is on the support where its primal value exceeds its dual slack.
-        on = x > s
-        return on if opts.nonnegative else on[:n] | on[n:]
-
-    def weights(x):
-        x = scale * x
-        return x if opts.nonnegative else x[:n] - x[n:]
-
-    def finished(x, s, lam):
-        nonlocal tried, certified
-        support = support_of(x, s)
-        if not 0 < np.count_nonzero(support) <= m or np.array_equal(support, tried):
-            return False
-        tried = support
-        z = _polish(a, yv, weights(x), support)
-        if (z is None or _norm(a @ z - yv) > opts.residual_epsilon + opts.abs_tol
-                or not _certified(a, yv, z, lam, opts.nonnegative)):
-            return False
-        certified = z
-        return True
-
-    x, s, lam, steps = _lp.solve(lp_a, yv / scale, opts.max_iters, finished)
-    steps += path_steps
-    if certified is not None:
-        return certified, steps, True
-    if x is None:
-        return np.zeros(n), steps, False
-    z = weights(x)
-    polished = _polish(a, yv, z, support_of(x, s))
-    z = z if polished is None else polished
-    return z, steps, _gap_closed(a, yv, z, lam, opts.nonnegative)
-
-
-def _path_bp(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
-    """Noiseless Basis Pursuit certified on the Lasso path: (z or None, steps).
-
-    Follows `_lasso_path` from lam = max |Phi^T y|; on incoherent data an
-    s-sparse solution is reached in about s steps (Donoho & Tsaig 2008).  At
-    each breakpoint whose least-squares fit on the active set S fits y to
-    within min(epsilon + abs_tol, _lp.TOL max |y|), a bound relative to the
-    data so that it means the same at every scale, the entries of S that keep
-    their path sign are refit (`_refit`; entries below 1e-9 of the largest
-    are dropped), and the refit is returned if the dual point r / lam, for
-    r = y - Phi x on the path, certifies it (`_certified`).  z is None where
-    the path gives up: when S holds more than min(M, N) / 2 entries, beyond
-    the sparse solutions whose paths are short; when the walk ends (lam at
-    its floor, a singular Gram matrix, or max_iters steps); or at once where
-    M > N and the least-squares fit on every column does not fit y, so that
-    no z does.  `steps` counts the path's segments.
-    """
-    m, n = a.shape
-    gate = min(opts.residual_epsilon + opts.abs_tol, _lp.TOL * np.max(np.abs(yv)))
-    if m > n:
-        fit = _refit(a, yv, np.ones(n, dtype=bool))
-        if fit is not None and _norm(a @ fit - yv) > gate:
-            return None, 0
-    steps = 0
-    for seg in _lasso_path(a, yv, opts.nonnegative, opts.max_iters):
-        steps += 1
-        on, fit = seg.on, seg.fit
-        if 2 * np.count_nonzero(on) > min(m, n):
+    # The loop runs on y divided by a power of two near max |y|, which is
+    # exact: its norms then neither overflow nor underflow.
+    unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(yv))))[1])
+    yv = yv / unit
+    gate = min((opts.residual_epsilon + opts.abs_tol) / unit, TOL * np.max(np.abs(yv)))
+    nonnegative = opts.nonnegative
+    pivot_tol = TOL * np.linalg.norm(a, axis=0)
+    c = a.T @ yv
+    j = int(np.argmax(c if nonnegative else np.abs(c)))
+    top = c[j] if nonnegative else abs(c[j])
+    if not top > 0:
+        return np.zeros(n), 1, False
+    signs = np.zeros(n)
+    signs[j] = np.copysign(1.0, c[j])
+    nu = yv / top
+    for step in range(1, opts.max_iters + 1):
+        on = signs != 0
+        cols, s = a[:, on], signs[on]
+        gram = cols.T @ cols
+        try:
+            fit, shift = np.linalg.solve(gram, np.array((cols.T @ yv, s - cols.T @ nu)).T).T
+            fit += np.linalg.solve(gram, cols.T @ (yv - cols @ fit))
+        except np.linalg.LinAlgError:
+            fit = None
+        if fit is None or not np.all(np.isfinite(fit)):
+            return np.zeros(n), step, False
+        nu += cols @ shift
+        r = yv - cols @ fit
+        exact = np.linalg.norm(r) <= gate
+        if exact:
+            big = np.abs(fit) >= 1e-9 * np.abs(fit).max()
+            keep = on.copy()
+            keep[on] = big & (fit * s > 0)
+            z = _refit(a, yv, keep)
+            if (z is not None and np.linalg.norm(a @ z - yv) <= gate
+                    and _certified(a, yv, z, nu, nonnegative)):
+                return z * unit, step, True
+        c = a.T @ nu
+        basis = len(s) == min(m, n)
+        if exact and not basis:
+            off = a - cols @ np.linalg.solve(gram, cols.T @ a)
+            room = ~on & (np.linalg.norm(off, axis=0) > pivot_tol)
+            basis = not room.any()
+        if not exact:
+            if basis:
+                break
+            delta = r
+        elif not basis:
+            j = int(np.argmax(np.where(room, c if nonnegative else np.abs(c), -np.inf)))
+            delta = off[:, j] if nonnegative else np.copysign(1.0, c[j]) * off[:, j]
+        elif np.any(big & (fit * s < 0)):
+            k = int(np.argmin(fit * s))
+            e = np.zeros(len(s))
+            e[k] = -s[k]
+            delta = cols @ np.linalg.solve(gram, e)
+            signs[np.flatnonzero(on)[k]] = 0.0
+        else:
             break
-        if _norm(yv - a[:, on] @ fit) > gate:
-            continue
-        keep = on.copy()
-        keep[on] = (np.sign(fit) == seg.signs[on]) & (np.abs(fit) >= 1e-9 * np.abs(fit).max())
-        z = _refit(a, yv, keep)
-        if (z is not None and _norm(a @ z - yv) <= gate
-                and _certified(a, yv, z, seg.r / seg.lam, opts.nonnegative)):
-            return z, steps
-    return None, steps
+        v = a.T @ delta
+        v[np.abs(v) <= pivot_tol * np.linalg.norm(delta)] = 0.0
+        up = _ratios(1.0 - c, v)
+        join = up if nonnegative else np.minimum(up, _ratios(1.0 + c, -v))
+        join[signs != 0] = np.inf
+        j = int(np.argmin(join))
+        if join[j] == np.inf:
+            break
+        nu += join[j] * delta
+        signs[j] = 1.0 if join[j] == up[j] else -1.0
+    z = np.zeros(n)
+    z[on] = unit * (np.maximum(fit, 0.0) if nonnegative else fit)
+    return z, step, False
 
 
-def _certified(a: np.ndarray, yv: np.ndarray, z: np.ndarray, lam: np.ndarray,
+def _certified(a: np.ndarray, yv: np.ndarray, z: np.ndarray, nu: np.ndarray,
                nonnegative: bool) -> bool:
-    """Whether the dual point lam, projected onto Phi_S^T lam = sign(z_S) on
-    the support S of z, proves z optimal (`_gap_closed`).
+    """Whether the dual point nu, projected onto Phi_S^T nu = sign(z_S) on the
+    support S of z, proves z optimal: whether ||z||_1 is within
+    TOL (max |y| + ||z||_1) of the dual bound.
 
-    The projection makes the dual point exact where z is nonzero, so the gap
-    closes once lam is near the optimal dual; it fails where the Gram matrix
-    of S is singular.
+    By weak duality y^T nu / max(1, ||Phi^T nu||_inf) (with `nonnegative`,
+    max(1, max Phi^T nu)) bounds the l1 norm of every solution of Phi x = y
+    from below, for any nu.  The projection makes the dual point exact where
+    z is nonzero, so the gap closes once nu is near the optimal dual; it
+    fails where the Gram matrix of S is singular.
     """
     support = z != 0
     cols = a[:, support]
     try:
-        lam = lam + cols @ np.linalg.solve(cols.T @ cols,
-                                           np.sign(z[support]) - cols.T @ lam)
+        nu = nu + cols @ np.linalg.solve(cols.T @ cols,
+                                         np.sign(z[support]) - cols.T @ nu)
     except np.linalg.LinAlgError:
         return False
-    return _gap_closed(a, yv, z, lam, nonnegative)
-
-
-def _gap_closed(a: np.ndarray, yv: np.ndarray, z: np.ndarray, lam: np.ndarray,
-                nonnegative: bool) -> bool:
-    """Whether ||z||_1 is within _lp.TOL (max |y| + ||z||_1) of the dual bound.
-
-    By weak duality y^T lam / max(1, ||Phi^T lam||_inf) (with `nonnegative`,
-    max(1, max Phi^T lam)) bounds the l1 norm of every solution of Phi x = y
-    from below, for any lam.
-    """
     l1 = float(np.abs(z).sum())
-    dual = a.T @ lam
+    dual = a.T @ nu
     top = dual.max() if nonnegative else np.abs(dual).max()
-    bound = float(yv @ lam) / max(1.0, float(top))
-    return l1 - bound <= _lp.TOL * (float(np.max(np.abs(yv))) + l1)
+    bound = float(yv @ nu) / max(1.0, float(top))
+    return l1 - bound <= TOL * (float(np.max(np.abs(yv))) + l1)
 
 
 def _refit(a: np.ndarray, yv: np.ndarray, support: np.ndarray):
@@ -350,34 +348,13 @@ def _refit(a: np.ndarray, yv: np.ndarray, support: np.ndarray):
     return z
 
 
-def _polish(a: np.ndarray, yv: np.ndarray, z: np.ndarray, support: np.ndarray):
-    """z refit on `support` (`_refit`), or None where that fails.
-
-    Entries off the support become exact zeros and the residual falls to
-    round-off.  It fails where the refit does, or flips a sign of z, fits y
-    worse or raises ||z||_1 by more than _lp.TOL.
-    """
-    polished = _refit(a, yv, support)
-    if polished is None:
-        return None
-    fit = polished[support]
-    l1 = np.sum(np.abs(z))
-    if (np.array_equal(np.sign(fit), np.sign(z[support]))
-            and _norm(a @ polished - yv) <= _norm(a @ z - yv)
-            and np.sum(np.abs(fit)) <= l1 + _lp.TOL * (1.0 + l1)):
-        return polished
-    return None
-
-
 class _Segment(NamedTuple):
     """One linear segment of the Lasso path, at its top (see `_lasso_path`)."""
 
     on: np.ndarray      # the active set S
-    signs: np.ndarray   # the path signs s, 0 off S (the walk's own array)
     x: np.ndarray       # x(lam) (the walk's own array, updated as it goes on)
     lam: float
     d: np.ndarray       # G^-1 s on S, for the Gram matrix G = Phi_S^T Phi_S
-    fit: np.ndarray     # G^-1 Phi_S^T y, the least-squares fit of y on S
     r: np.ndarray       # y - Phi x
     u: np.ndarray       # Phi_S d
     q: float            # s^T d
@@ -389,29 +366,31 @@ def _lasso_path(a: np.ndarray, yv: np.ndarray, nonnegative: bool, max_steps: int
     `_Segment` at a time (the positive Lasso with `nonnegative`; Osborne,
     Presnell & Turlach 2000; Efron et al. 2004, section 3.4).
 
-    Starts at lam = max |Phi^T y|.  On a segment x = fit - lam d on S, and it
-    ends where an entry joins or leaves S, or lam reaches 0; one
-    np.linalg.solve gives both d and the fit.  An entry that has just left S
+    Starts at lam = max |Phi^T y|.  On a segment x = G^-1 Phi_S^T y - lam d
+    on S, for the path signs s, and it ends where an entry joins or leaves
+    S, or lam reaches 0; one np.linalg.solve gives d.  Entries that tie join
+    one segment apart, the second after a fall of 0: a join whose gap
+    rounding left below 0 counts as one at 0.  An entry that has just left S
     may not rejoin with its old sign: rounding allows it at once.  The walk
     ends after max_steps segments, where G is singular, or where lam falls
-    below _lp.TOL times its start: there rounding in Phi^T r is no longer
-    small beside lam.  A consumer that stops within a segment updates the
+    below TOL times its start: there rounding in Phi^T r is no longer small
+    beside lam.  A consumer that stops within a segment updates the
     segment's x itself.
     """
     n = a.shape[1]
     x, signs = np.zeros(n), np.zeros(n)
-    c = aty = a.T @ yv
+    c = a.T @ yv
     j = int(np.argmax(c if nonnegative else np.abs(c)))
     lam = float(c[j] if nonnegative else abs(c[j]))
     signs[j] = np.copysign(1.0, c[j])
-    floor, left = _lp.TOL * lam, None
+    floor, left = TOL * lam, None
     for _ in range(max_steps):
         if not lam > floor:
             return
         on = signs != 0
         cols = a[:, on]
         try:
-            d, fit = np.linalg.solve(cols.T @ cols, np.array((signs[on], aty[on])).T).T
+            d = np.linalg.solve(cols.T @ cols, signs[on])
         except np.linalg.LinAlgError:
             return
         q = signs[on] @ d
@@ -421,8 +400,8 @@ def _lasso_path(a: np.ndarray, yv: np.ndarray, nonnegative: bool, max_steps: int
         c, v = a.T @ r, a.T @ u
         # The falls in lam at which an entry off S joins it with sign +1 (up)
         # or -1 (down), or one on S reaches 0.
+        up, down = _ratios(lam - c, 1.0 - v), _ratios(lam + c, 1.0 + v)
         with np.errstate(divide="ignore", invalid="ignore"):
-            up, down = _positive((lam - c) / (1.0 - v)), _positive((lam + c) / (1.0 + v))
             leave = np.full(n, np.inf)
             leave[on] = _positive(-x[on] / d)
         if left is not None:
@@ -431,7 +410,7 @@ def _lasso_path(a: np.ndarray, yv: np.ndarray, nonnegative: bool, max_steps: int
         join[on] = np.inf
         j, k = int(np.argmin(join)), int(np.argmin(leave))
         t = min(join[j], leave[k], lam)
-        yield _Segment(on, signs, x, lam, d, fit, r, u, q, t)
+        yield _Segment(on, x, lam, d, r, u, q, t)
         x[on] += t * d
         lam -= t
         left = None
@@ -447,8 +426,8 @@ def _homotopy(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
     Follows the Lasso path (`_lasso_path`) as lam falls from max |Phi^T y| to
     where ||Phi x - y|| = epsilon and x solves the program; if the walk ends
     first, the program counts as infeasible.  `converged` is the KKT
-    certificate, for r = y - Phi x: |Phi^T r| <= lam (1 + _lp.TOL),
-    |Phi^T r - lam sign(x)| <= lam _lp.TOL on the support of x, and
+    certificate, for r = y - Phi x: |Phi^T r| <= lam (1 + TOL),
+    |Phi^T r - lam sign(x)| <= lam TOL on the support of x, and
     | ||r|| - epsilon | <= abs_tol.
     """
     n, eps = a.shape[1], opts.residual_epsilon
@@ -473,8 +452,16 @@ def _homotopy(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
     c, on = a.T @ r, x != 0
     top = c.max() if opts.nonnegative else np.abs(c).max()
     return x, steps, bool(reached and abs(_norm(r) - eps) <= opts.abs_tol
-                          and top <= lam * (1.0 + _lp.TOL)
-                          and np.all(np.abs(c[on] - lam * np.sign(x[on])) <= lam * _lp.TOL))
+                          and top <= lam * (1.0 + TOL)
+                          and np.all(np.abs(c[on] - lam * np.sign(x[on])) <= lam * TOL))
+
+
+def _ratios(gap: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """gap / rate where rate > 0 and inf elsewhere, with each gap that rounding
+    left below 0 read as 0: how far each entry moves before it reaches its
+    bound."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(rate > 0, np.maximum(gap, 0.0) / rate, np.inf)
 
 
 def _positive(t: np.ndarray) -> np.ndarray:

@@ -2,14 +2,15 @@
 
 These deliberately avoid the package's own code paths: brute-force support
 enumeration for l1 minimization, direct summation for harmonic projection,
-closed-form mode functions via scipy.special, a Cholesky-based ADMM loop
-for Basis Pursuit, and an explicit cosine table for the isotropy estimate.
+closed-form mode functions via scipy.special, the HiGHS linear-programming
+solver for noiseless Basis Pursuit, and an explicit cosine table for the
+isotropy estimate.
 """
 import itertools
 import math
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.optimize import linprog
 from scipy.special import eval_hermite, eval_laguerre
 
 
@@ -47,6 +48,23 @@ def l1_oracle(entries, y, feas_tol=1e-9):
     return unique[0], len(unique) == 1
 
 
+def highs_bp(entries, y, nonnegative=False):
+    """Noiseless Basis Pursuit as a linear program, solved by HiGHS.
+
+    min 1^T (p + q) s.t. Phi (p - q) = y, p, q >= 0, or with `nonnegative`
+    min 1^T x s.t. Phi x = y, x >= 0.  Returns (x, result): x = p - q (or x),
+    None unless HiGHS reports an optimum, and scipy's linprog result, whose
+    status is 2 where the program is infeasible.
+    """
+    n = entries.shape[1]
+    lp_a = entries if nonnegative else np.hstack((entries, -entries))
+    ref = linprog(np.ones(lp_a.shape[1]), A_eq=lp_a, b_eq=y, bounds=(0, None),
+                  method="highs")
+    if ref.status != 0:
+        return None, ref
+    return (ref.x if nonnegative else ref.x[:n] - ref.x[n:]), ref
+
+
 def harmonic_projection(y, alphas, n_modes):
     """Direct-summation cosine projection with even-grid weights.
 
@@ -75,62 +93,6 @@ def laguerre_gauss_radial(r, p, waist=1.0):
     """Radial Laguerre-Gauss profile orthonormal under the r dr measure."""
     u = 2.0 * np.asarray(r, dtype=float) ** 2 / waist ** 2
     return (2.0 / waist) * eval_laguerre(p, u) * np.exp(-0.5 * u)
-
-
-def admm_reference(a, yv, opts, rho=1.0):
-    """Basis Pursuit by ADMM with penalty rho and a cached Cholesky x-update.
-
-    min ||x||_1 s.t. ||Phi x - y||_2 <= opts.residual_epsilon (x >= 0 with
-    opts.nonnegative), by the splitting of Boyd et al. (2011): x carries the
-    quadratic coupling, z the l1 proximal step and w the projection onto the
-    epsilon-ball.  Stops on the primal and dual residual tests of their
-    section 3.3.1 (absolute opts.abs_tol, relative 1e-6) once z is feasible to
-    within abs_tol, or after opts.max_iters iterations.  Returns
-    (z, iterations, converged).
-    """
-    m, n = a.shape
-    eps = opts.residual_epsilon
-    factor = cho_factor(np.eye(n) + a.T @ a)
-
-    x = np.zeros(n)
-    z = np.zeros(n)
-    w = np.zeros(m)
-    u1 = np.zeros(n)
-    u2 = np.zeros(m)
-    kappa = 1.0 / rho
-    rel_tol = 1e-6
-    sqrt_nm = np.sqrt(n + m)
-    sqrt_n = np.sqrt(n)
-
-    iterations = 0
-    converged = False
-    for iterations in range(1, opts.max_iters + 1):
-        x = cho_solve(factor, (z - u1) + a.T @ (w - u2))
-        ax = a @ x
-        z_prev = z
-        w_prev = w
-        v = x + u1
-        if opts.nonnegative:
-            z = np.maximum(v - kappa, 0.0)
-        else:
-            z = np.sign(v) * np.maximum(np.abs(v) - kappa, 0.0)
-        d = ax + u2 - yv
-        dist = np.linalg.norm(d)
-        w = yv + (d if dist <= eps else d * (eps / dist))
-        u1 = u1 + (x - z)
-        u2 = u2 + (ax - w)
-
-        pri = np.sqrt(np.sum((x - z) ** 2) + np.sum((ax - w) ** 2))
-        dual = rho * np.linalg.norm((z - z_prev) + a.T @ (w - w_prev))
-        eps_pri = sqrt_nm * opts.abs_tol + rel_tol * max(
-            np.sqrt(np.sum(x ** 2) + np.sum(ax ** 2)),
-            np.sqrt(np.sum(z ** 2) + np.sum(w ** 2)))
-        eps_dual = sqrt_n * opts.abs_tol + rel_tol * rho * np.linalg.norm(u1 + a.T @ u2)
-        if pri <= eps_pri and dual <= eps_dual:
-            if np.linalg.norm(a @ z - yv) <= eps + opts.abs_tol:
-                converged = True
-                break
-    return z, iterations, converged
 
 
 def isotropy_reference(alphas, n_modes):

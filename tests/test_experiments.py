@@ -13,9 +13,11 @@ from compint.experiments import (
     scenario_by_name,
 )
 from compint.modes import BasisKind, ComplexModalField, ModeBasis
-from compint import _lp, experiments, recovery
-from compint.recovery import reconstruction_error
+from compint import experiments, recovery
+from compint.recovery import Method, RecoveryResult, reconstruction_error
 from compint.sensing import ModalSpectrum
+
+from oracles import highs_bp
 
 
 # ------------------------------------------------------------ stock scenarios
@@ -133,6 +135,19 @@ def test_scenario_errors_are_recomputable():
     assert res.bp_truth_error == reconstruction_error(res.spec.spectrum, res.bp.raw)
 
 
+def test_stock_beams_over_seeds():
+    # The six stock beams, noiseless, over 200 seeds, each with a random
+    # schedule of its own: every BP solve converges, on the truth's support,
+    # with bp_vs_ft_error <= 1e-3 (the benchmark's check on every round).
+    for spec in builtin_scenarios():
+        support = spec.spectrum.weights != 0
+        for seed in range(200):
+            res = run_scenario(dataclasses.replace(spec, seed=seed))
+            assert res.bp.converged
+            assert res.bp_vs_ft_error <= 1e-3
+            assert np.array_equal(res.bp.raw != 0, support)
+
+
 # -------------------------------------------------------------------- sweeps
 
 
@@ -149,14 +164,26 @@ def test_sweep_error_drops_with_m():
     np.testing.assert_array_equal(sweep.std_error, again.std_error)
 
 
+def _highs_solve(phi, y, opts=recovery.BPOptions()):
+    """A noiseless Basis Pursuit result from HiGHS: its optimum, run to its
+    own tolerance, refit on its support by `recovery._refit` (entries below
+    1e-9 of its largest are off the support); converged where it finds one."""
+    x, _ = highs_bp(phi.entries, y.values, opts.nonnegative)
+    z = np.zeros(phi.n_modes)
+    if x is not None:
+        z = recovery._refit(phi.entries, y.values, np.abs(x) > 1e-9 * np.abs(x).max())
+    return RecoveryResult(spectrum=ModalSpectrum(np.maximum(z, 0.0)), iterations=0,
+                          final_residual=float(np.linalg.norm(phi.entries @ z - y.values)),
+                          converged=x is not None, method=Method.BP, raw=z)
+
+
 def test_sweep_unchanged_by_early_stop(monkeypatch):
     # Criterion 6's sweep at four of its M values: ending each solve at its
-    # first certified refit leaves every number as the full solves give it.
+    # first certified refit leaves every number as the HiGHS optimum, refit
+    # on its support, gives it.
     m_values = [5, 10, 20, 30]
     early = error_vs_m_sweep(64, 4, m_values, runs=100, seed=0)
-    solve = _lp.solve
-    monkeypatch.setattr(_lp, "solve",
-                        lambda a, b, max_steps, finished=None: solve(a, b, max_steps))
+    monkeypatch.setattr(experiments, "basis_pursuit", _highs_solve)
     full = error_vs_m_sweep(64, 4, m_values, runs=100, seed=0)
     np.testing.assert_array_equal(early.mean_error, full.mean_error)
     np.testing.assert_array_equal(early.std_error, full.std_error)
@@ -178,12 +205,12 @@ def _recorded_sweep(monkeypatch, *args, **kwargs):
 
 
 def test_sweep_path_route_matches_lp_route(monkeypatch):
-    # Criterion 6's sweep with 20 runs: the solves certified on the l1 path
-    # and those the LP alone makes have the same verdicts, and converged raw
-    # outputs within 1e-12 relative l1.
+    # Criterion 6's sweep with 20 runs: the solves of the exact solver and
+    # those of HiGHS, the linear program's solver, have the same verdicts,
+    # and converged raw outputs within 1e-12 relative l1.
     args = (64, 4, range(5, 51, 5))
     path, path_solves = _recorded_sweep(monkeypatch, *args, runs=20)
-    monkeypatch.setattr(recovery, "_lasso_path", lambda *a: iter(()))
+    monkeypatch.setattr(experiments, "basis_pursuit", _highs_solve)
     lp, lp_solves = _recorded_sweep(monkeypatch, *args, runs=20)
     assert len(path_solves) == len(lp_solves) == 200
     for res, ref in zip(path_solves, lp_solves):
@@ -194,10 +221,11 @@ def test_sweep_path_route_matches_lp_route(monkeypatch):
 
 
 def test_sweep_refit_leaves_exact_zeros(monkeypatch):
-    # Two one-run sweeps whose refit, certified early on the LP, kept a column
-    # of the support guess at a round-off value (4.2e-17 and 3.3e-17), so the
-    # error was 1.4e-32 and 2.6e-33.  The path refits only the entries that
-    # keep their path sign, and the solution is the truth to the last bit.
+    # Two one-run sweeps whose refit, certified early by an interior-point
+    # method, kept a column of its support guess at a round-off value
+    # (4.2e-17 and 3.3e-17), so the error was 1.4e-32 and 2.6e-33.  Only the
+    # entries that keep their sign are refit, and the solution is the truth
+    # to the last bit.
     for m, seed in ((5, 1), (10, 2)):
         sweep, (res,) = _recorded_sweep(monkeypatch, 64, 4, [m], 1, seed=seed)
         assert res.converged

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import linprog, nnls
 
 from compint import recovery
+from compint.experiments import scenario_by_name
 from compint.recovery import (
     BPOptions,
     InsufficientSamplingError,
@@ -25,7 +26,7 @@ from compint.sensing import (
     sensing_matrix,
 )
 
-from oracles import admm_reference, harmonic_projection, l1_oracle
+from oracles import harmonic_projection, highs_bp, l1_oracle
 
 
 # -------------------------------------------------------------- harmonic route
@@ -146,9 +147,8 @@ def test_bp_matches_exhaustive_l1_oracle():
 
 def _noisy_problems():
     """60 seeded problems, all with epsilon > abs_tol: N in {8, 16, 64}, M in
-    3..min(2N, 60), sigma in {0, 0.01}, signed and nonnegative programs,
-    epsilon = 0.05 or, at sigma = 0.01, sigma sqrt(M + 2 sqrt(2M)), and an
-    oracle penalty rho of 1 or 2."""
+    3..min(2N, 60), sigma in {0, 0.01}, signed and nonnegative programs, and
+    epsilon = 0.05 or, at sigma = 0.01, sigma sqrt(M + 2 sqrt(2M))."""
     for i in range(60):
         rng = np.random.default_rng(900 + i)
         n = (8, 16, 64)[i % 3]
@@ -162,25 +162,7 @@ def _noisy_problems():
         x[rng.choice(n, s, replace=False)] = rng.dirichlet(np.ones(s))
         sched = random_schedule(m, seed=2000 + i)
         y = sample_interferogram(ModalSpectrum(x), sched, sigma, seed=i)
-        yield sensing_matrix(sched, n), y, opts, (1.0, 2.0)[(i // 12) % 2]
-
-
-def test_bp_matches_reference_admm_loop():
-    # Wherever the ADMM oracle converges, the homotopy converges too, to the
-    # same l1 optimum: ADMM stops at a relative tolerance of 1e-6.
-    agreed = 0
-    for phi, y, opts, rho in _noisy_problems():
-        z, _, ok = admm_reference(phi.entries, y.values, opts, rho)
-        if not ok:
-            continue
-        res = basis_pursuit(phi, y, opts)
-        assert res.converged
-        assert res.final_residual <= opts.residual_epsilon + opts.abs_tol
-        l1 = np.abs(z).sum()
-        assert abs(np.abs(res.raw).sum() - l1) <= 1e-6 * l1
-        agreed += 1
-    # the oracle converges on 21 of the 60 within its 2000 iterations
-    assert agreed >= 15
+        yield sensing_matrix(sched, n), y, opts
 
 
 def test_homotopy_entry_that_left_does_not_rejoin_at_once():
@@ -222,6 +204,54 @@ def test_homotopy_entry_that_left_may_rejoin_with_the_other_sign():
     v = r / np.abs(phi.entries.T @ r).max()
     l1 = np.abs(res.raw).sum()
     assert l1 - (y.values @ v - eps * np.linalg.norm(v)) <= 1e-8 * l1
+
+
+def test_noisy_bp_is_optimal_by_weak_duality():
+    # For any nu with ||Phi^T nu||_inf <= 1 (Phi^T nu <= 1 under
+    # `nonnegative`), y^T nu - epsilon ||nu|| bounds the l1 norm of every x
+    # with ||Phi x - y|| <= epsilon from below, and nu = r / ||Phi^T r||_inf,
+    # for the residual r of the returned z, is such a point whatever solver
+    # made z.  Every converged solve closes that gap to 1e-8 relative, and
+    # every unconverged one is infeasible: no x (no x >= 0 under
+    # `nonnegative`) comes within epsilon of y.
+    converged = 0
+    for phi, y, opts in _noisy_problems():
+        a, yv, eps = phi.entries, y.values, opts.residual_epsilon
+        res = basis_pursuit(phi, y, opts)
+        if opts.nonnegative:
+            nearest = nnls(a, yv)[1]
+        else:
+            nearest = np.linalg.norm(a @ np.linalg.lstsq(a, yv, rcond=None)[0] - yv)
+        if not res.converged:
+            assert nearest > eps
+            continue
+        converged += 1
+        assert res.final_residual <= eps + opts.abs_tol
+        assert not opts.nonnegative or np.all(res.raw >= 0.0)
+        r = yv - a @ res.raw
+        c = a.T @ r
+        nu = r / (c.max() if opts.nonnegative else np.abs(c).max())
+        l1 = np.abs(res.raw).sum()
+        assert l1 - (yv @ nu - eps * np.linalg.norm(nu)) <= 1e-8 * l1
+    assert converged == 58
+
+
+def test_tied_entries_join_one_step_apart():
+    # On the even grid the columns are orthogonal, so equal weights give
+    # equal correlations, and the second of two tied entries joins after a
+    # fall of 0 in lam, or a step of 0 in nu.  Rounding can leave its gap
+    # just below 0; a walk that skipped such a join stopped after one step,
+    # unconverged with one mode: here with a residual of 4.0, and on the
+    # exact route at M = 8, 10, 13, 14, 18, 19, 21 and 23.
+    sched = nyquist_schedule(128)
+    y = sample_interferogram(scenario_by_name("hg0+hg1").spectrum, sched)
+    res = basis_pursuit(sensing_matrix(sched, 64), y, BPOptions(residual_epsilon=0.05))
+    assert res.converged and res.iterations == 2
+    assert np.flatnonzero(res.raw).tolist() == [0, 1]
+    for m in range(8, 25):
+        phi = sensing_matrix(nyquist_schedule(m), 4)
+        res = basis_pursuit(phi, MeasurementVector(phi.entries @ [1.0, 1.0, 0.0, 0.0]))
+        assert res.converged and res.iterations == 2
 
 
 def test_homotopy_nonnegative_infeasible():
@@ -294,11 +324,7 @@ def test_exact_bp_keeps_nearly_dependent_rows():
     # sigma_min(Phi) is 1.5e-6 here, and noisy data have an exact fit with
     # l1 in the thousands.  A solve that drops the row nearly dependent on the
     # others stops with residuals of 0.002-0.04, a false "unconverged" on all
-    # six data sets.  With every row kept, seeds 0, 2 and 4 converge to the
-    # HiGHS optimum.  Seeds 1, 3 and 5 still stop unconverged: the
-    # interior-point method meets its own tolerance, and the refit on the
-    # support, which is the HiGHS optimum, raises l1 by more than _polish
-    # allows.
+    # six data sets.  Every one of them converges to the HiGHS optimum.
     sched = random_schedule(15, seed=91564)
     phi = sensing_matrix(sched, 16)
     truth = np.zeros(16)
@@ -312,12 +338,11 @@ def test_exact_bp_keeps_nearly_dependent_rows():
         ref = linprog(np.ones(32), A_eq=lp_a, b_eq=y.values, bounds=(0, None),
                       method="highs")
         res = basis_pursuit(phi, y, opts)
-        assert res.converged or k % 2
-        if res.converged:
-            assert res.final_residual <= allowed
-            slack = ((allowed + np.linalg.norm(lp_a @ ref.x - y.values))
-                     * np.linalg.norm(ref.eqlin.marginals))
-            assert abs(np.abs(res.raw).sum() - ref.fun) <= 1e-8 + slack
+        assert res.converged
+        assert res.final_residual <= allowed
+        slack = ((allowed + np.linalg.norm(lp_a @ ref.x - y.values))
+                 * np.linalg.norm(ref.eqlin.marginals))
+        assert abs(np.abs(res.raw).sum() - ref.fun) <= 1e-8 + slack
 
 
 def test_exact_bp_support_is_exact():
@@ -337,7 +362,9 @@ def test_exact_bp_support_is_exact():
 
 def test_exact_bp_more_delays_than_modes():
     # Phi Phi^T is singular when M > N: noiseless data are still solved
-    # exactly, and noisy data cannot be fit at epsilon <= abs_tol
+    # exactly, and noisy data cannot be fit at epsilon <= abs_tol.  The
+    # solve says so once every column is in the active set, within
+    # min(M, N) + 1 steps.
     truth = np.array([0.0, 0.6, 0.0, 0.4, 0.0])
     for sched in (random_schedule(12, seed=4), nyquist_schedule(16)):
         phi = sensing_matrix(sched, 5)
@@ -347,11 +374,15 @@ def test_exact_bp_more_delays_than_modes():
         noisy = sample_interferogram(ModalSpectrum(truth), sched, 0.01, seed=5)
         res = basis_pursuit(phi, noisy)
         assert not res.converged
+        assert res.iterations <= 5 + 1
         assert np.all(np.isfinite(res.raw))
 
 
 def test_exact_bp_repeated_and_mirrored_delays():
-    # a repeated delay and a delay mirrored about pi give dependent rows
+    # A repeated delay and a delay mirrored about pi give dependent rows.
+    # Noisy data then lie off the range of Phi, and the solve says so once
+    # its active set spans that range: within rank(Phi) + 1 = 11 steps, not
+    # after forcing in columns that lie in the range already.
     alphas = random_schedule(10, seed=6).alphas
     alphas = np.concatenate((alphas, [alphas[0], 2.0 * np.pi - alphas[1]]))
     phi = sensing_matrix(DelaySchedule(alphas, ScheduleKind.EXTERNAL), 16)
@@ -364,13 +395,13 @@ def test_exact_bp_repeated_and_mirrored_delays():
     y[-1] += 0.01
     res = basis_pursuit(phi, MeasurementVector(y))
     assert not res.converged
+    assert res.iterations <= np.linalg.matrix_rank(phi.entries) + 1
     assert np.all(np.isfinite(res.raw))
 
 
 def test_exact_bp_singular_normal_equations():
-    # With two delays 3e-5 apart, a diag(d) a^T of the last steps can be
-    # singular in floating point; the delta I on the normal equations keeps
-    # each step solvable (test_lp_survives_singular_normal_matrix).
+    # Two delays 3e-5 apart make Phi Phi^T singular in floating point; the
+    # solver never forms it, and finds the three-sparse truth exactly.
     truth = np.zeros(8)
     truth[[2, 3, 7]] = [-0.45, -0.96, 0.14]
     for seed in (1, 26):
@@ -380,20 +411,6 @@ def test_exact_bp_singular_normal_equations():
         res = basis_pursuit(phi, MeasurementVector(phi.entries @ truth))
         assert res.converged
         np.testing.assert_allclose(res.raw, truth, rtol=0.0, atol=1e-12)
-
-
-def test_lp_survives_singular_normal_matrix():
-    # a has independent rows, but a diag(d) a^T rounds to a singular matrix
-    # at d = 1; the normal equations carry delta I, so the solve raises
-    # nothing and returns finite iterates.
-    a = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 2.0 ** -30, 0.0]])
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(a @ a.T, np.ones(2))
-    b = a @ [1.0, 1.0, 0.0]
-    x, s, lam, steps = recovery._lp.solve(a, b, 100)
-    assert x is not None and 0 < steps <= 100
-    assert np.all(np.isfinite(np.concatenate((x, s, lam))))
-    assert np.linalg.norm(a @ x - b) <= 1e-8 * np.linalg.norm(b)
 
 
 def test_exact_bp_detects_infeasible_nonnegative_data():
@@ -410,9 +427,12 @@ def test_exact_bp_detects_infeasible_nonnegative_data():
 
 
 def test_exact_bp_stops_when_mu_stalls():
-    # noisy data fitted exactly with M close to N: rounding leaves mu
-    # wandering between about 1e-19 and 1e-12, and without the stall test the
-    # solve ran 1299 steps to an l1 norm of 3.1e7
+    # Noisy data fitted exactly with M = 52 close to N, where sigma_min(Phi)
+    # is 1.8e-9, below the pivot tolerance TOL: the exact fit has an l1 norm
+    # of 3e7.  After 51 steps the fit's residual lies along that direction,
+    # no column can join, and the solve ends unconverged.  An interior-point
+    # method let mu wander for 1299 steps here, and a Lasso path walked by
+    # lam swapped columns for 648.
     n = 64
     rng = np.random.default_rng(7104)
     m = int(rng.integers(48, 65))
@@ -429,9 +449,9 @@ def test_exact_bp_stops_when_mu_stalls():
 
 
 def test_exact_bp_is_scale_free():
-    # the data are scaled to max |y| = 1 before the solve, so the solution
-    # scales with y; the absolute residual test fails only where round-off
-    # alone exceeds abs_tol
+    # the data are divided by a power of two near max |y| before the solve,
+    # so the solution scales with y; the absolute residual test fails only
+    # where round-off alone exceeds abs_tol
     phi = sensing_matrix(random_schedule(10, seed=3), 16)
     truth = np.zeros(16)
     truth[[5, 12]] = [0.7, -0.2]
@@ -455,22 +475,24 @@ def test_bp_final_residual_finite_for_huge_data():
     np.testing.assert_allclose(res.raw / 1e300, truth, rtol=0.0, atol=1e-12)
 
 
-def _lp_only(patch):
-    """Send every exact solve to the interior-point LP: the l1 path yields no
-    segment, so `_exact_bp` falls back at once."""
-    patch.setattr(recovery, "_lasso_path", lambda *args: iter(()))
+def _highs_refit(a, y, nonnegative):
+    """The HiGHS optimum refit on its own support by `recovery._refit`
+    (entries below 1e-9 of its largest are off the support), or None where
+    HiGHS finds no optimum."""
+    x, _ = highs_bp(a, y, nonnegative)
+    if x is None:
+        return None
+    return recovery._refit(a, y, np.abs(x) > 1e-9 * np.abs(x).max())
 
 
 def test_exact_bp_converged_needs_optimality(monkeypatch):
-    # On the LP route, a refit that fits y is reported converged only once
-    # the dual bound proves it optimal.  The path is turned off, and the
-    # solver is replaced by one that hands the certification hook two
-    # iterates: the first guesses ten wrong columns, whose refit fits y
-    # exactly (ten equations, ten unknowns) with a larger l1 norm than the
-    # one-sparse truth; the second guesses the truth's support.  Only the
-    # second may be certified, at any data scale: at 1e-12 a certificate with
-    # an absolute tolerance of 1e-8 would pass both.  epsilon = 0 keeps such
-    # data outside the epsilon-ball around 0.
+    # A refit that fits y is reported converged only once the dual bound
+    # proves it optimal.  Two vectors fit y exactly: a refit on ten wrong
+    # columns (ten equations, ten unknowns), with a larger l1 norm than the
+    # one-sparse truth, and the truth itself.  The dual point 0, projected
+    # onto each one's support, certifies only the truth, at any data scale:
+    # at 1e-12 a certificate with an absolute tolerance of 1e-8 would pass
+    # both.  epsilon = 0 keeps such data outside the epsilon-ball around 0.
     phi = sensing_matrix(random_schedule(10, seed=3), 16)
     a = phi.entries
     opts = BPOptions(residual_epsilon=0.0)
@@ -485,43 +507,22 @@ def test_exact_bp_converged_needs_optimality(monkeypatch):
         refit[wrong] = np.linalg.solve(a[:, wrong], y)
         assert np.linalg.norm(a @ refit - y) <= 1e-12 * c
         assert np.abs(refit).sum() > 1.5 * np.abs(truth).sum()
-
-        def iterate(z):
-            # An iterate of the scaled signed program, 0.1% past the refit z,
-            # so that refitting lowers its residual; it guesses the support
-            # z != 0.
-            z = 1.001 * z / np.max(np.abs(y))
-            x = np.concatenate((np.maximum(z, 0.0), np.maximum(-z, 0.0)))
-            return x, np.where(x > 0.0, 0.5 * x, 1.0)
-
-        verdicts = []
-
-        def solve(lp_a, b, max_steps, finished=None):
-            lam = np.zeros(len(b))
-            for z in (refit, truth):
-                x, s = iterate(z)
-                verdicts.append(finished(x, s, lam))
-            return x, s, lam, 2
-
-        with monkeypatch.context() as patch:
-            _lp_only(patch)
-            patch.setattr(recovery._lp, "solve", solve)
-            res = basis_pursuit(phi, MeasurementVector(y), opts)
+        verdicts = [recovery._certified(a, y, z, np.zeros(10), False)
+                    for z in (refit, truth)]
         assert verdicts == [False, True]
-        assert res.converged and res.iterations == 2
+        res = basis_pursuit(phi, MeasurementVector(y), opts)
+        assert res.converged and res.iterations == 1
         np.testing.assert_allclose(res.raw, truth, rtol=0.0, atol=1e-12 * c)
-    # The real LP certifies the truth's refit at step 1, and so does the
-    # path, so a cap of two steps changes nothing on either route.
+    # The solve certifies the truth's refit at step 1, so a cap of two steps
+    # changes nothing; where no certificate passes, no solve converges.
     y = MeasurementVector(a @ one)
-    for lp_only in (True, False):
-        with monkeypatch.context() as patch:
-            if lp_only:
-                _lp_only(patch)
-            capped = basis_pursuit(phi, y, BPOptions(max_iters=2))
-            full = basis_pursuit(phi, y)
-        assert capped.converged and full.converged
-        assert capped.iterations == full.iterations == 1
-        np.testing.assert_array_equal(capped.raw, full.raw)
+    capped = basis_pursuit(phi, y, BPOptions(max_iters=2))
+    full = basis_pursuit(phi, y)
+    assert capped.converged and full.converged
+    assert capped.iterations == full.iterations == 1
+    np.testing.assert_array_equal(capped.raw, full.raw)
+    monkeypatch.setattr(recovery, "_certified", lambda *args: False)
+    assert not basis_pursuit(phi, y).converged
 
 
 def _mixed_problems(count=300):
@@ -548,87 +549,83 @@ def _mixed_problems(count=300):
         yield phi, y, BPOptions(nonnegative=nonnegative)
 
 
-def test_exact_bp_early_stop_matches_full_solve(monkeypatch):
-    # Ending a solve at its first certified refit gives the refit of the
-    # solve run to the solver's tolerance, and the same verdict.
+def test_exact_bp_early_stop_matches_full_solve():
+    # Ending a solve at its first certified refit gives the optimum that
+    # HiGHS reaches by running to its own tolerance, refit on its support,
+    # and the verdict that HiGHS gives: converged exactly where it finds an
+    # optimum.  Noisy data (problems 1, 4, 7, ...) on dependent rows (M > N,
+    # or a repeated or mirrored delay) that end unconverged say so within
+    # min(M, N) + 1 steps.
     problems = list(_mixed_problems())
-    early = [basis_pursuit(phi, y, opts) for phi, y, opts in problems]
-    # The reference solves ignore the hook and run to the solver's own
-    # stopping rule.
-    solve = recovery._lp.solve
-    monkeypatch.setattr(recovery._lp, "solve",
-                        lambda a, b, max_steps, finished=None: solve(a, b, max_steps))
     converged = 0
-    for (phi, y, opts), res in zip(problems, early):
-        ref = basis_pursuit(phi, y, opts)
-        assert res.converged == ref.converged
-        assert res.iterations <= ref.iterations
+    for i, (phi, y, opts) in enumerate(problems):
+        res = basis_pursuit(phi, y, opts)
+        ref = _highs_refit(phi.entries, y.values, opts.nonnegative)
+        assert res.converged == (ref is not None)
+        m, n = phi.shape
         if res.converged:
             converged += 1
             assert res.final_residual <= opts.residual_epsilon + opts.abs_tol
-            gap = np.abs(res.raw - ref.raw).sum()
-            assert gap <= 1e-12 * np.abs(ref.raw).sum()
+            gap = np.abs(res.raw - ref).sum()
+            assert gap <= 1e-12 * np.abs(ref).sum()
+        elif i % 3 == 1 and (m > n or i % 4 in (1, 2)):
+            assert res.iterations <= min(m, n) + 1
     assert 0 < converged < len(problems)
 
 
-def test_path_route_matches_lp_route(monkeypatch):
-    # The l1 path certifies most exact solves; each one it certifies has the
-    # verdict of the LP alone and its raw within 1e-12 relative l1, and the
-    # ones it cannot certify fall back to the LP.  The problems include
+def test_path_route_matches_lp_route():
+    # The ascent, on the dual ray of the l1 path, certifies most exact
+    # solves with one step per entry of their support, before any dual
+    # simplex pivot.  Each of those has the raw of HiGHS, the linear
+    # program's solver, within 1e-12 relative l1.  The problems include
     # nonnegative ones and repeated or mirrored delays.
     problems = list(_mixed_problems())
-    default = [basis_pursuit(phi, y, opts) for phi, y, opts in problems]
-    on_path = [recovery._path_bp(phi.entries, y.values, opts)[0] is not None
-               for phi, y, opts in problems]
-    _lp_only(monkeypatch)
-    converged = 0
-    for (phi, y, opts), res in zip(problems, default):
-        ref = basis_pursuit(phi, y, opts)
-        assert res.converged == ref.converged
-        if res.converged:
-            converged += 1
-            gap = np.abs(res.raw - ref.raw).sum()
-            assert gap <= 1e-12 * np.abs(ref.raw).sum()
-    assert 0 < sum(on_path) < converged
+    results = [basis_pursuit(phi, y, opts) for phi, y, opts in problems]
+    on_path = [res.converged and res.iterations == np.count_nonzero(res.raw)
+               for res in results]
+    for (phi, y, opts), res, path in zip(problems, results, on_path):
+        if path:
+            ref = _highs_refit(phi.entries, y.values, opts.nonnegative)
+            gap = np.abs(res.raw - ref).sum()
+            assert gap <= 1e-12 * np.abs(ref).sum()
+    assert 0 < sum(on_path) < sum(res.converged for res in results)
+    assert 2 * sum(on_path) > sum(res.converged for res in results)
     # Problems 1, 5, 9, ... have a repeated delay, 2, 6, 10, ... a mirrored
     # one, and every fifth is nonnegative.
     assert any(on_path[1::4]) and any(on_path[2::4]) and any(on_path[::5])
 
 
 def test_path_falls_back_where_it_cannot_certify():
-    # At M = 5 the l1 solution of three-sparse data has five entries, more
-    # than the path keeps (min(M, N) / 2): the path gives up after three
-    # steps, and the LP solves the program.
+    # At M = 5 the l1 solution of three-sparse data has five entries: the
+    # ascent reaches a basis of five columns without a certified refit, and
+    # dual simplex pivots reach the optimum, HiGHS's.
     rng = np.random.default_rng(1)
     x = np.zeros(64)
     x[rng.choice(64, 3, replace=False)] = rng.uniform(0.1, 1.0, 3)
     phi = sensing_matrix(random_schedule(5, seed=1), 64)
     y = MeasurementVector(phi.entries @ x)
-    z, steps = recovery._path_bp(phi.entries, y.values, BPOptions())
-    assert z is None and steps == 3
     res = basis_pursuit(phi, y)
-    assert res.converged and res.iterations > steps
+    assert res.converged and res.iterations > 5
     assert np.count_nonzero(res.raw) == 5
     assert res.final_residual <= 1e-12
+    ref = _highs_refit(phi.entries, y.values, False)
+    assert np.abs(res.raw - ref).sum() <= 1e-12 * np.abs(ref).sum()
     # With more delays than modes, noisy data lie outside the range of Phi:
-    # the least-squares fit on every column shows it, and the path is not
-    # walked at all.
+    # the fit on all five columns shows it, and the solve ends there.
     truth = ModalSpectrum(np.array([0.0, 0.6, 0.0, 0.4, 0.0]))
     sched = random_schedule(12, seed=4)
     phi = sensing_matrix(sched, 5)
     noisy = sample_interferogram(truth, sched, 0.01, seed=5)
-    z, steps = recovery._path_bp(phi.entries, noisy.values, BPOptions())
-    assert z is None and steps == 0
-    assert not basis_pursuit(phi, noisy).converged
+    res = basis_pursuit(phi, noisy)
+    assert not res.converged and res.iterations == 5
 
 
-def test_path_certifies_only_with_the_dual_bound(monkeypatch):
-    # An exact fit on the path's active set is returned only once the dual
-    # bound proves it optimal.  A walk is faked that reaches the support of
-    # five-sparse data whose l1 optimum has ten entries and a smaller norm:
-    # the refit fits y exactly and keeps every sign, but the dual point
-    # Phi_S G^-1 s that such a path would give is infeasible, and its bound
-    # rejects the refit.  The LP then finds the optimum.
+def test_path_certifies_only_with_the_dual_bound():
+    # An exact fit on an active set is returned only once the dual bound
+    # proves it optimal.  Five-sparse data whose l1 optimum has ten entries
+    # and a smaller norm: the truth fits y exactly and keeps every sign, but
+    # the dual point Phi_S G^-1 s on its support S is infeasible, and its
+    # bound rejects the truth.  The solve finds the optimum instead.
     rng = np.random.default_rng(1)
     x = np.zeros(16)
     x[rng.choice(16, 5, replace=False)] = (rng.uniform(0.5, 1.0, 5)
@@ -640,24 +637,19 @@ def test_path_certifies_only_with_the_dual_bound(monkeypatch):
     cols = a[:, on]
     dual = cols @ np.linalg.solve(cols.T @ cols, np.sign(x[on]))
     assert np.abs(a.T @ dual).max() > 1.0
-    segment = recovery._Segment(on, np.sign(x), None, 1.0, None, x[on], dual,
-                                None, None, None)
-    monkeypatch.setattr(recovery, "_lasso_path", lambda *args: iter([segment]))
-    z, steps = recovery._path_bp(a, y, BPOptions())
-    assert z is None and steps == 1
+    assert not recovery._certified(a, y, x, dual, False)
     res = basis_pursuit(phi, MeasurementVector(y))
     assert res.converged and res.iterations > 1
     assert np.abs(res.raw).sum() < np.abs(x).sum() - 0.5
 
 
-def test_path_residual_gate_is_relative(monkeypatch):
-    # The path certifies a refit only where the least-squares fit on its
-    # active set leaves a residual below _lp.TOL max |y| too, not only below
-    # epsilon + abs_tol.  The first path step of these two-sparse data fits
-    # one column; at scale 1e-8 its residual is below abs_tol, and an
-    # absolute gate alone would certify that wrong support.  At every scale
-    # the path certifies the truth's support instead, and returns the truth
-    # wherever the LP alone does.
+def test_path_residual_gate_is_relative():
+    # A refit is certified only where the least-squares fit on the active
+    # set leaves a residual below TOL max |y| too, not only below epsilon +
+    # abs_tol.  The first step of these two-sparse data fits one column; at
+    # scale 1e-8 its residual is below abs_tol, and an absolute gate alone
+    # would certify that wrong support.  At every scale the solve returns the
+    # truth's support instead, and the truth wherever HiGHS does.
     phi = sensing_matrix(random_schedule(10, seed=3), 16)
     a = phi.entries
     truth = np.zeros(16)
@@ -669,14 +661,10 @@ def test_path_residual_gate_is_relative(monkeypatch):
         one = a[:, column] * (a[:, column] @ y) / (a[:, column] @ a[:, column])
         if c == 1e-8:
             assert np.linalg.norm(y - one) <= opts.abs_tol
-        z, _ = recovery._path_bp(a, y, opts)
-        assert z is not None and np.array_equal(z != 0, truth != 0)
         res = basis_pursuit(phi, MeasurementVector(y), opts)
-        with monkeypatch.context() as patch:
-            _lp_only(patch)
-            ref = basis_pursuit(phi, MeasurementVector(y), opts)
-        assert res.converged == ref.converged
-        if np.allclose(ref.raw / c, truth, rtol=0.0, atol=1e-12):
+        assert res.converged and np.array_equal(res.raw != 0, truth != 0)
+        ref, _ = highs_bp(a, y)
+        if ref is not None and np.allclose(ref / c, truth, rtol=0.0, atol=1e-12):
             np.testing.assert_allclose(res.raw / c, truth, rtol=0.0, atol=1e-12)
 
 
