@@ -105,7 +105,7 @@ class SweepResult:
         std = _own_vector(self, "std_error")
         if not (len(mv) == len(mean) == len(std)):
             raise ValueError("sweep arrays must have equal length")
-        if np.any(mean < 0) or np.any(std < 0):
+        if (mean < 0).any() or (std < 0).any():
             raise ValueError("error statistics must be nonnegative")
         if self.runs_per_point < 1:
             raise ValueError("runs_per_point must be >= 1")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -32,9 +33,10 @@ _DEFAULT_POINTS = 1024
 _NORM_WARN_TOL = 1e-3
 
 # Memoised mode tables start on this byte boundary.  numpy aligns arrays to 16
-# bytes only, and a product with the 1024 x 64 table ran about 30% slower when
-# its start was off a 32-byte boundary (OpenBLAS, one thread), which made its
-# speed depend on what the heap held before.
+# bytes only, and `synthesize`'s (1024 x 64) @ (64 x 2) product took 12 us
+# from a 64-byte boundary against 14-16 us from 8-, 16-, 32- and 48-byte
+# offsets (OpenBLAS 0.3.31, one thread, 2-CPU x86-64 VM), which made its speed
+# depend on what the heap held before.
 _TABLE_ALIGN = 64
 
 _TWO_PI = 2.0 * np.pi
@@ -79,7 +81,7 @@ def _own_vector(obj, name: str, dtype=float) -> np.ndarray:
     arr = _own(obj, name, dtype)
     if arr.ndim != 1 or len(arr) == 0:
         raise ValueError(f"{name} must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
 
@@ -102,9 +104,9 @@ class SampledGrid:
         wts = _own_vector(self, "weights")
         if len(pts) != len(wts):
             raise ValueError("points and weights must have equal length")
-        if np.any(np.diff(pts) <= 0):
+        if (np.diff(pts) <= 0).any():
             raise ValueError("grid points must be strictly increasing")
-        if np.any(wts <= 0):
+        if (wts <= 0).any():
             raise ValueError("quadrature weights must be positive")
 
     def __len__(self) -> int:
@@ -125,7 +127,7 @@ class ComplexModalField:
             raise ValueError(
                 f"expected {self.basis.max_order} coefficients, got {len(c)}")
         if self.normalized:
-            total = float(np.sum(np.abs(c) ** 2))
+            total = float(np.vdot(c, c).real)
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(
                     f"normalized field must have unit power, got {total}")
@@ -251,9 +253,14 @@ def mode_function(basis: ModeBasis, n: int, grid: SampledGrid) -> np.ndarray:
 
 def generalized_delay(field: ComplexModalField, alpha: float) -> ComplexModalField:
     """Apply the delay: c_n -> c_n * exp(i*n*alpha).  Preserves |c_n|."""
-    if not np.isfinite(alpha):
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    alpha = float(np.mod(alpha, _TWO_PI))
+    # Python's float % takes the divisor's sign, but rounds a tiny negative
+    # alpha up to 2*pi, which is the same delay as 0.
+    alpha %= _TWO_PI
+    if alpha == _TWO_PI:
+        alpha = 0.0
     n = np.arange(1, field.basis.max_order + 1)
     return ComplexModalField(
         basis=field.basis,
@@ -279,8 +286,10 @@ def delay_kernel(basis: ModeBasis, alpha: float, grid: SampledGrid) -> np.ndarra
 def synthesize(field: ComplexModalField, grid: SampledGrid) -> np.ndarray:
     """Sampled field E(x) = sum_n c_n psi_n(x) on the grid."""
     table, c = mode_table(field.basis, grid), field.coeffs
-    # Two real products: `table @ c` would first cast the whole table to complex.
-    return table @ c.real + 1j * (table @ c.imag)
+    # One real (G x N) @ (N x 2) product with the rows [Re c_n, Im c_n], a
+    # view of the coefficients, reads the table once (`table @ c` would cast
+    # it to complex first); its rows [Re E, Im E] are viewed as complex.
+    return (table @ c.view(float).reshape(-1, 2)).view(complex)[:, 0]
 
 
 def field_interferogram(field: ComplexModalField, alpha: float,
@@ -288,17 +297,17 @@ def field_interferogram(field: ComplexModalField, alpha: float,
     """Two-path interferogram P(alpha) computed at field level.
 
     Superposes the delayed field with its alpha = 0 reference and integrates
-    the intensity over the grid, scaled so that P(0) = 2 exactly.  For a
-    normalized field this equals 1 + sum_n |c_n|^2 cos(n*alpha) up to
+    the intensity re^2 + im^2 over the grid, scaled so that P(0) = 2 exactly.
+    For a normalized field this equals 1 + sum_n |c_n|^2 cos(n*alpha) up to
     quadrature error.
     """
     if grid is None:
         grid = default_grid(field.basis)
     ref = synthesize(field, grid)
-    base = float(grid.weights @ np.abs(ref) ** 2)
+    base = float(grid.weights @ (ref.real ** 2 + ref.imag ** 2))
     if base <= 0.0:
         raise ValueError("field has zero norm on this grid")
-    delayed = synthesize(generalized_delay(field, alpha), grid)
-    raw = float(grid.weights @ np.abs(delayed + ref) ** 2)
+    both = synthesize(generalized_delay(field, alpha), grid) + ref
+    raw = float(grid.weights @ (both.real ** 2 + both.imag ** 2))
     # P(0) integrates |2 E|^2 = 4 * base; dividing by 2 * base pins P(0) = 2.
     return raw / (2.0 * base)

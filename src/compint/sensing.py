@@ -25,7 +25,7 @@ class ModalSpectrum:
 
     def __post_init__(self):
         w = _own_vector(self, "weights")
-        if np.any(w < 0):
+        if (w < 0).any():
             raise ValueError("weights must be nonnegative")
         if self.normalized and abs(w.sum() - 1.0) > 1e-9:
             raise ValueError(
@@ -80,7 +80,7 @@ class DelaySchedule:
 
     def __post_init__(self):
         a = _own_vector(self, "alphas")
-        if np.any(a < 0) or np.any(a > _TWO_PI):
+        if a.min() < 0 or a.max() > _TWO_PI:
             raise ValueError("delay values must lie in [0, 2*pi]")
         if self.kind is ScheduleKind.EVEN_GRID and not np.array_equal(a, even_alphas(len(a))):
             raise ValueError("EVEN_GRID schedule must equal 2*pi*j/M, j=0..M-1")

@@ -259,6 +259,8 @@ def test_delay_zero_and_full_turn_are_identity():
     field = ComplexModalField(basis, c)
     np.testing.assert_array_equal(generalized_delay(field, 0.0).coeffs, c)
     np.testing.assert_array_equal(generalized_delay(field, 2.0 * np.pi).coeffs, c)
+    # a tiny negative delay reduces to 0, not to the float just below 2 pi
+    np.testing.assert_array_equal(generalized_delay(field, -1e-20).coeffs, c)
 
 
 def test_delay_single_mode_phase():

@@ -1,17 +1,24 @@
-"""Invariants of the sensing model and the config parser over many inputs.
+"""Invariants of the sensing model, the field-level interferogram and the
+config parser over many inputs.
 
 Hypothesis draws the inputs.  It is derandomized and keeps no example
 database, so every run checks the same cases.
 """
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from compint.cli import _GLOBALS, _SCHEMAS, ConfigError, parse_config
+from compint.modes import (BasisKind, ComplexModalField, ModeBasis,
+                           default_grid, field_interferogram, mode_table,
+                           synthesize)
 from compint.recovery import BPOptions, basis_pursuit, ft_recover
 from compint.sensing import (DelaySchedule, MeasurementVector, ModalSpectrum,
-                             ScheduleKind, nyquist_schedule, random_schedule,
+                             ScheduleKind, analytic_interferogram,
+                             nyquist_schedule, random_schedule,
                              sample_interferogram, sensing_matrix)
+
+from oracles import synthesize_reference
 
 _PROPERTY = settings(derandomize=True, database=None, deadline=None,
                      max_examples=30)
@@ -141,6 +148,62 @@ def test_ft_equals_bp_on_nyquist_data(problem):
     bp = basis_pursuit(phi, y)
     assert bp.converged
     assert _rel_diff(bp.raw, ft.raw) <= 1e-6
+
+
+@st.composite
+def _fields(draw, normalized=False):
+    """A field of N <= 16 modes in either basis, with complex, purely real
+    or purely imaginary coefficients of power at least 1e-6."""
+    n = draw(st.integers(1, 16))
+    basis = ModeBasis(draw(st.sampled_from(list(BasisKind))), n)
+    parts = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+    shape = draw(st.sampled_from(["complex", "real", "imaginary"]))
+    c = np.zeros(n, complex)
+    if shape != "imaginary":
+        c.real = draw(parts)
+    if shape != "real":
+        c.imag = draw(parts)
+    power = np.vdot(c, c).real
+    assume(power >= 1e-6)
+    if normalized:
+        c /= np.sqrt(power)
+    return ComplexModalField(basis, c, normalized=normalized)
+
+
+_ALPHAS = st.floats(0.0, 2.0 * np.pi)
+
+
+@_PROPERTY
+@given(_fields())
+def test_field_interferogram_is_two_at_zero_delay(field):
+    assert field_interferogram(field, 0.0) == 2.0
+
+
+@_PROPERTY
+@given(_fields(), _ALPHAS)
+def test_field_interferogram_mirror_and_period(field, alpha):
+    # P depends on alpha only through cos(n alpha)
+    p = field_interferogram(field, alpha)
+    assert abs(field_interferogram(field, 2.0 * np.pi - alpha) - p) <= 1e-12
+    assert abs(field_interferogram(field, alpha + 2.0 * np.pi) - p) <= 1e-12
+
+
+@_PROPERTY
+@given(_fields(normalized=True), _ALPHAS)
+def test_field_interferogram_matches_analytic(field, alpha):
+    x = ModalSpectrum(field.mode_weights())
+    assert abs(field_interferogram(field, alpha)
+               - analytic_interferogram(x, alpha)) <= 1e-9
+
+
+@_PROPERTY
+@given(_fields())
+def test_synthesize_matches_complex_product(field):
+    grid = default_grid(field.basis)
+    got = synthesize(field, grid)
+    ref = synthesize_reference(mode_table(field.basis, grid), field.coeffs)
+    assert got.dtype == complex
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 # Integers are drawn small, anywhere in np.intp's range, or past it.  Parsing

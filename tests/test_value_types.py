@@ -1,4 +1,7 @@
-"""Every frozen value type owns read-only copies of its array fields."""
+"""Every frozen value type owns read-only copies of its array fields and
+rejects bad values with a fixed message."""
+import re
+
 import numpy as np
 import pytest
 
@@ -91,3 +94,60 @@ _VECTOR_PARAMS = [
 def test_vector_fields_must_be_nonempty_finite_1d(cls, name, others, bad):
     with pytest.raises(ValueError, match=name):
         cls(**{name: _BAD_VECTORS[bad]}, **others)
+
+
+_FIELD_ARGS = {"basis": ModeBasis(BasisKind.HERMITE_GAUSS_1D, 2)}
+_SWEEP_ARGS = {"m_values": [5, 10], "mean_error": [0.1, 0.01],
+               "std_error": [0.05, 0.0], "runs_per_point": 2, "m_star": 10,
+               "threshold": 0.05}
+
+# (type, valid arguments, vector field checked for shape and finiteness)
+_CHECKED = [
+    (ComplexModalField, {**_FIELD_ARGS, "coeffs": [0.6, 0.8j],
+                         "normalized": True}, "coeffs"),
+    (ModalSpectrum, {"weights": [0.25, 0.75]}, "weights"),
+    (DelaySchedule, {"alphas": [0.0, 1.0], "kind": ScheduleKind.EXTERNAL},
+     "alphas"),
+    (SweepResult, _SWEEP_ARGS, "mean_error"),
+]
+
+_SHAPE_AND_VALUE = {
+    "nan": ([np.nan, 0.5], "{} must be finite"),
+    "inf": ([np.inf, 0.5], "{} must be finite"),
+    "-inf": ([-np.inf, 0.5], "{} must be finite"),
+    "empty": ([], "{} must be a non-empty 1-D sequence"),
+    "2-D": ([[0.5, 0.5], [0.5, 0.5]], "{} must be a non-empty 1-D sequence"),
+}
+
+_MESSAGE_PARAMS = [
+    pytest.param(cls, {**valid, name: bad}, message.format(name),
+                 id=f"{cls.__name__}-{case}")
+    for cls, valid, name in _CHECKED
+    for case, (bad, message) in _SHAPE_AND_VALUE.items()
+] + [
+    pytest.param(ModalSpectrum, {"weights": [0.5, -0.5]},
+                 "weights must be nonnegative", id="ModalSpectrum-negative"),
+    pytest.param(SweepResult, {**_SWEEP_ARGS, "mean_error": [0.1, -0.01]},
+                 "error statistics must be nonnegative",
+                 id="SweepResult-negative-mean"),
+    pytest.param(SweepResult, {**_SWEEP_ARGS, "std_error": [-0.05, 0.0]},
+                 "error statistics must be nonnegative",
+                 id="SweepResult-negative-std"),
+    pytest.param(DelaySchedule,
+                 {"alphas": [-1e-12, 1.0], "kind": ScheduleKind.EXTERNAL},
+                 "delay values must lie in [0, 2*pi]", id="DelaySchedule-below"),
+    pytest.param(DelaySchedule,
+                 {"alphas": [0.0, 2.0 * np.pi + 1e-12],
+                  "kind": ScheduleKind.EXTERNAL},
+                 "delay values must lie in [0, 2*pi]", id="DelaySchedule-above"),
+    pytest.param(ComplexModalField,
+                 {**_FIELD_ARGS, "coeffs": [1.0, 1.0j], "normalized": True},
+                 "normalized field must have unit power, got 2.0",
+                 id="ComplexModalField-power"),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, message", _MESSAGE_PARAMS)
+def test_constructor_error_messages(cls, kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(**kwargs)
