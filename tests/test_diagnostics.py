@@ -89,6 +89,20 @@ def test_eta_ensemble_histogram_layout_and_determinism():
     assert rep.max_abs_eta == again.max_abs_eta
 
 
+def test_eta_counts_match_edge_array_histogram():
+    # eta_ensemble bins by bins=_HIST_BINS, range=(-1, 1), which must count
+    # exactly as the edge array it reports, on and next to every edge too
+    edges = diagnostics._HIST_EDGES
+    values = np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [-1.0, 1.0], np.random.default_rng(3).uniform(-1.2, 1.2, 100_000)])
+    want = np.histogram(np.clip(values, -1.0, 1.0), bins=edges)[0]
+    np.testing.assert_array_equal(diagnostics._eta_counts(values), want)
+    for value in values[:3 * len(edges) + 2]:
+        want = np.histogram(np.clip([value], -1.0, 1.0), bins=edges)[0]
+        np.testing.assert_array_equal(diagnostics._eta_counts(np.array([value])), want)
+
+
 def _direct_draws(m, n, s, samples, seed, redraw_phi):
     """(supports, values, etas) row by row: Floyd's algorithm in plain Python
     on the draws of the stream (seed, "eta-block", b), and eta from `eta`."""

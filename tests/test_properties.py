@@ -1,5 +1,5 @@
-"""Invariants of the sensing model, the field-level interferogram and the
-config parser over many inputs.
+"""Invariants of the sensing model, the field-level interferogram, the eta
+kernel and the config parser over many inputs.
 
 Hypothesis draws the inputs.  It is derandomized and keeps no example
 database, so every run checks the same cases.
@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from compint.cli import _GLOBALS, _SCHEMAS, ConfigError, parse_config
+from compint.diagnostics import _eta_block, eta
 from compint.modes import (BasisKind, ComplexModalField, ModeBasis,
                            default_grid, field_interferogram, mode_table,
                            synthesize)
@@ -204,6 +205,64 @@ def test_synthesize_matches_complex_product(field):
     ref = synthesize_reference(mode_table(field.basis, grid), field.coeffs)
     assert got.dtype == complex
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@st.composite
+def _eta_rows(draw):
+    """(Phi, supports, values): N <= 16 modes and M <= 20 delays, drawn from
+    a pool so that some repeat, with 1..8 rows of s distinct indices and
+    values of magnitude 0.1..10 and either sign.  M < s or a repeated delay
+    leaves Phi rank-deficient."""
+    n = draw(st.integers(1, 16))
+    s = draw(st.integers(1, n))
+    pool = draw(st.lists(_ALPHAS, min_size=1, max_size=20))
+    alphas = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20))
+    phi = sensing_matrix(DelaySchedule(np.array(alphas), ScheduleKind.EXTERNAL), n)
+    rows = draw(st.integers(1, 8))
+    supports = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=s,
+                                      max_size=s, unique=True),
+                             min_size=rows, max_size=rows))
+    values = draw(st.lists(st.floats(0.1, 10.0) | st.floats(-10.0, -0.1),
+                           min_size=rows * s, max_size=rows * s))
+    return phi, np.array(supports), np.reshape(values, (rows, s))
+
+
+def _block_etas(phi, supports, values):
+    """_eta_block as _eta_blocks calls it with the shared matrix."""
+    gram = phi.entries.T @ phi.entries
+    return _eta_block(gram, supports, values, 2.0 / phi.shape[0])
+
+
+@_PROPERTY
+@given(_eta_rows())
+def test_eta_block_matches_eta(problem):
+    phi, supports, values = problem
+    got = _block_etas(phi, supports, values)
+    for row, support, v in zip(got, supports, values):
+        x = np.zeros(phi.shape[1])
+        x[support] = v
+        want = eta(phi, x)
+        assert abs(row - want) <= 1e-12 * (1.0 + abs(want))
+
+
+@_PROPERTY
+@given(_eta_rows(), st.data())
+def test_eta_block_support_order_invariance(problem, data):
+    phi, supports, values = problem
+    order = data.draw(st.permutations(range(supports.shape[1])))
+    got = _block_etas(phi, supports, values)
+    permuted = _block_etas(phi, supports[:, order], values[:, order])
+    assert np.max(np.abs(permuted - got)) <= 1e-13
+
+
+@_PROPERTY
+@given(_eta_rows(), st.integers(-20, 20))
+def test_eta_block_power_of_two_scale_invariance(problem, k):
+    # every product and sum scales by an exact power of two
+    phi, supports, values = problem
+    got = _block_etas(phi, supports, values)
+    scaled = _block_etas(phi, supports, values * 2.0 ** k)
+    np.testing.assert_array_equal(scaled, got)
 
 
 # Integers are drawn small, anywhere in np.intp's range, or past it.  Parsing
