@@ -27,6 +27,7 @@ _EVEN_GRID_TOL = 1e-9
 # homotopy and the floor of the Lasso path's lam.
 TOL = 1e-8
 
+
 class InsufficientSamplingError(ValueError):
     """Even-grid sampling is below the Nyquist rate for the requested N."""
 
@@ -48,7 +49,11 @@ class BPOptions:
     method does; it returns the first refit that a duality certificate
     proves optimal.  Noisy data need a radius matched to the noise, which
     the l1 homotopy solves exactly.  max_iters caps the steps of either
-    solver, each one linear solve; most solves stop well before it.
+    solver; most solves stop well before it.  A homotopy step is one linear
+    solve.  An exact step is two, a two-right-hand-side solve and its
+    refinement; one whose fit matches the data adds up to four: the refit's
+    two, the certificate's one and, if the solve goes on, one for the next
+    direction.
     Set nonnegative to restrict the search to x >= 0.  Entries of the
     solution smaller in magnitude than zero_threshold are snapped to 0 in the
     reported spectrum (the raw solution is kept alongside).
@@ -79,9 +84,10 @@ class RecoveryResult:
     and clipped at 0 (weights are physically nonnegative).  `raw` is the
     untouched solver output, which failed or noisy recoveries may leave signed;
     error metrics should use it.  `iterations` is 0 for harmonic inversion.
-    For Basis Pursuit it counts the solver's steps, one linear solve each:
-    those of the exact solver up to the one whose refit was certified, or at
-    epsilon > abs_tol the homotopy path steps.
+    For Basis Pursuit it counts the solver's steps: those of the exact
+    solver up to the one whose refit was certified, or at epsilon > abs_tol
+    the homotopy path steps.  `BPOptions` says how many linear solves a step
+    makes.
     """
 
     spectrum: ModalSpectrum
@@ -104,8 +110,18 @@ def _norm(v: np.ndarray) -> float:
     division is exact, so wherever np.linalg.norm(v) neither overflows nor
     underflows the two agree to the last bit.
     """
-    unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(v))))[1])
-    return unit * float(np.linalg.norm(v / unit))
+    unit = math.ldexp(1.0, math.frexp(float(np.abs(v).max()))[1])
+    return unit * _length(v / unit)
+
+
+def _length(v: np.ndarray) -> float:
+    """np.linalg.norm(v) for a real 1-D v, to the bit, without its overhead.
+
+    Like np.linalg.norm it takes the dot product of a contiguous copy: a
+    strided dot product may sum in another order.
+    """
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def _reported_spectrum(raw: np.ndarray, zero_threshold: float) -> ModalSpectrum:
@@ -196,10 +212,12 @@ def _exact_bp(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
     2017).  It keeps a dual-feasible nu and a set S of columns tight at it,
     with signs s and Phi_S^T nu = s.  Each step solves with G = Phi_S^T Phi_S
     for the least-squares fit of y on S (refined once, as in `_refit`) and
-    for the shift that puts nu back on Phi_S^T nu = s, then moves nu along a
-    direction delta until a free column reaches its bound and joins S.  In
-    that ratio test, rates below TOL ||phi_j|| ||delta|| count as 0, and
-    gaps that rounding left below 0 as 0.
+    for the shift that puts nu back on Phi_S^T nu = s (one solve with two
+    right-hand sides), then moves nu along a direction delta until a free
+    column reaches its bound and joins S.  That ratio test makes one pass
+    over both sides of every bound (`_join_ratios`); in it, rates below
+    TOL ||phi_j|| ||delta|| count as 0, and gaps that rounding left below 0
+    as 0.
 
     - Ascent.  S starts as the column of largest |Phi^T y| (Phi^T y with
       `nonnegative`), and nu as y over that correlation.  While y is not fit
@@ -217,7 +235,11 @@ def _exact_bp(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
     a bound relative to the data so that it means the same at every scale,
     the entries of S that keep their sign (and are not below 1e-9 of the
     largest) are refit (`_refit`), and the refit is returned once nu
-    certifies it (`_certified`).  Data inside the epsilon-ball around 0 give
+    certifies it (`_certified`).  Both take the step's columns and Gram
+    matrix, which they use where their support is S and build afresh
+    elsewhere.  The refit still makes its own solves rather than reuse the
+    step's fit, so that it equals `_refit` on that support from any other
+    caller.  Data inside the epsilon-ball around 0 give
     z = 0 at step 1.  The solve ends unconverged where the data are
     infeasible (y is not fit on a basis, or no column can join while it is
     not fit), where a basis keeps every sign but its refit is not
@@ -225,13 +247,15 @@ def _exact_bp(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
     at 0 under `nonnegative`); and where G is singular, with z = 0.
     """
     m, n = a.shape
-    if _norm(yv) <= opts.residual_epsilon:
-        return np.zeros(n), 1, True
     # The loop runs on y divided by a power of two near max |y|, which is
-    # exact: its norms then neither overflow nor underflow.
-    unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(yv))))[1])
+    # exact: its norms then neither overflow nor underflow.  So max |y| is
+    # ymax / unit after it, and ||y|| is unit ||y / unit||, as `_norm` has it.
+    ymax = float(np.abs(yv).max())
+    unit = math.ldexp(1.0, math.frexp(ymax)[1])
     yv = yv / unit
-    gate = min((opts.residual_epsilon + opts.abs_tol) / unit, TOL * np.max(np.abs(yv)))
+    if unit * _length(yv) <= opts.residual_epsilon:
+        return np.zeros(n), 1, True
+    gate = min((opts.residual_epsilon + opts.abs_tol) / unit, TOL * (ymax / unit))
     nonnegative = opts.nonnegative
     pivot_tol = TOL * np.linalg.norm(a, axis=0)
     c = a.T @ yv
@@ -250,19 +274,21 @@ def _exact_bp(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
             fit, shift = np.linalg.solve(gram, np.array((cols.T @ yv, s - cols.T @ nu)).T).T
             fit += np.linalg.solve(gram, cols.T @ (yv - cols @ fit))
         except np.linalg.LinAlgError:
-            fit = None
-        if fit is None or not np.all(np.isfinite(fit)):
+            return np.zeros(n), step, False
+        if not np.isfinite(fit).all():
             return np.zeros(n), step, False
         nu += cols @ shift
         r = yv - cols @ fit
-        exact = np.linalg.norm(r) <= gate
+        length = _length(r)
+        exact = length <= gate
         if exact:
             big = np.abs(fit) >= 1e-9 * np.abs(fit).max()
             keep = on.copy()
             keep[on] = big & (fit * s > 0)
-            z = _refit(a, yv, keep)
-            if (z is not None and np.linalg.norm(a @ z - yv) <= gate
-                    and _certified(a, yv, z, nu, nonnegative)):
+            active = (on, cols, gram)
+            z = _refit(a, yv, keep, active)
+            if (z is not None and _length(a @ z - yv) <= gate
+                    and _certified(a, yv, z, nu, nonnegative, active)):
                 return z * unit, step, True
         c = a.T @ nu
         basis = len(s) == min(m, n)
@@ -277,7 +303,7 @@ def _exact_bp(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
         elif not basis:
             j = int(np.argmax(np.where(room, c if nonnegative else np.abs(c), -np.inf)))
             delta = off[:, j] if nonnegative else np.copysign(1.0, c[j]) * off[:, j]
-        elif np.any(big & (fit * s < 0)):
+        elif (big & (fit * s < 0)).any():
             k = int(np.argmin(fit * s))
             e = np.zeros(len(s))
             e[k] = -s[k]
@@ -285,23 +311,59 @@ def _exact_bp(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
             signs[np.flatnonzero(on)[k]] = 0.0
         else:
             break
+        if delta is not r:  # r's length is known
+            length = _length(delta)
         v = a.T @ delta
-        v[np.abs(v) <= pivot_tol * np.linalg.norm(delta)] = 0.0
-        up = _ratios(1.0 - c, v)
-        join = up if nonnegative else np.minimum(up, _ratios(1.0 + c, -v))
+        join = _join_ratios(c, v, pivot_tol * length, nonnegative)
         join[signs != 0] = np.inf
-        j = int(np.argmin(join))
-        if join[j] == np.inf:
+        j = int(join.argmin())
+        t = join[j]
+        if t == np.inf:
             break
-        nu += join[j] * delta
-        signs[j] = 1.0 if join[j] == up[j] else -1.0
+        nu += t * delta
+        signs[j] = 1.0 if v[j] > 0 else -1.0
     z = np.zeros(n)
     z[on] = unit * (np.maximum(fit, 0.0) if nonnegative else fit)
     return z, step, False
 
 
+def _join_ratios(c: np.ndarray, v: np.ndarray, floor: np.ndarray,
+                 nonnegative: bool) -> np.ndarray:
+    """How far the dual point nu moves along delta, for c = Phi^T nu and
+    v = Phi^T delta, before each column reaches its bound: one ratio test
+    over both sides of |phi_j^T nu| <= 1 (phi_j^T nu <= 1 with `nonnegative`).
+
+    Column j moves towards the side sign(v_j) at rate |v_j| (v_j with
+    `nonnegative`), and its gap there is 1 - sign(v_j) c_j.  The ratio is
+    gap / rate where the rate is above `floor` and inf elsewhere, with a gap
+    that rounding left below 0 read as 0; the column that joins takes the
+    sign sign(v_j) of the side it reaches.  For finite c this is, to the
+    bit, the minimum of `_ratios(1 - c, v)` and `_ratios(1 + c, -v)` once
+    the entries of v with |v| <= floor are set to 0: the two sides are
+    finite on the disjoint sets v > 0 and v < 0, and 1 - (-1) c is 1 + c
+    exactly.
+    """
+    if nonnegative:
+        gap, rate = 1.0 - c, v
+    else:
+        gap, rate = 1.0 - np.sign(v) * c, np.abs(v)
+    join = np.full(len(v), np.inf)
+    return np.divide(np.maximum(gap, 0.0, out=gap), rate, out=join, where=rate > floor)
+
+
+def _columns(a: np.ndarray, support: np.ndarray, active):
+    """Phi_S and its Gram matrix Phi_S^T Phi_S for the columns S of the mask
+    `support`.  `active`, None or a step's (mask, columns, Gram matrix),
+    supplies them where its mask equals `support`; they are built otherwise.
+    """
+    if active is not None and (active[0] == support).all():
+        return active[1], active[2]
+    cols = a[:, support]
+    return cols, cols.T @ cols
+
+
 def _certified(a: np.ndarray, yv: np.ndarray, z: np.ndarray, nu: np.ndarray,
-               nonnegative: bool) -> bool:
+               nonnegative: bool, active=None) -> bool:
     """Whether the dual point nu, projected onto Phi_S^T nu = sign(z_S) on the
     support S of z, proves z optimal: whether ||z||_1 is within
     TOL (max |y| + ||z||_1) of the dual bound.
@@ -310,38 +372,40 @@ def _certified(a: np.ndarray, yv: np.ndarray, z: np.ndarray, nu: np.ndarray,
     max(1, max Phi^T nu)) bounds the l1 norm of every solution of Phi x = y
     from below, for any nu.  The projection makes the dual point exact where
     z is nonzero, so the gap closes once nu is near the optimal dual; it
-    fails where the Gram matrix of S is singular.
+    fails where the Gram matrix of S is singular.  A step of `_exact_bp`
+    passes its (active set, columns, Gram matrix) as `active`, which is
+    used where S is that active set (`_columns`).
     """
     support = z != 0
-    cols = a[:, support]
+    cols, gram = _columns(a, support, active)
     try:
-        nu = nu + cols @ np.linalg.solve(cols.T @ cols,
-                                         np.sign(z[support]) - cols.T @ nu)
+        nu = nu + cols @ np.linalg.solve(gram, np.sign(z[support]) - cols.T @ nu)
     except np.linalg.LinAlgError:
         return False
     l1 = float(np.abs(z).sum())
     dual = a.T @ nu
     top = dual.max() if nonnegative else np.abs(dual).max()
     bound = float(yv @ nu) / max(1.0, float(top))
-    return l1 - bound <= TOL * (float(np.max(np.abs(yv))) + l1)
+    return l1 - bound <= TOL * (float(np.abs(yv).max()) + l1)
 
 
-def _refit(a: np.ndarray, yv: np.ndarray, support: np.ndarray):
+def _refit(a: np.ndarray, yv: np.ndarray, support: np.ndarray, active=None):
     """The least-squares fit of y on `support`'s columns, zero elsewhere, or
     None where it is singular or not finite.
 
     It solves the normal equations of the columns and refines the solution
     once against the residual, which recovers the accuracy that squaring
-    their condition number loses.
+    their condition number loses.  A step of `_exact_bp` passes its (active
+    set, columns, Gram matrix) as `active`, which is used where `support` is
+    that active set (`_columns`).
     """
-    cols = a[:, support]
-    gram = cols.T @ cols
+    cols, gram = _columns(a, support, active)
     try:
         fit = np.linalg.solve(gram, cols.T @ yv)
         fit += np.linalg.solve(gram, cols.T @ (yv - cols @ fit))
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(fit)):
+    if not np.isfinite(fit).all():
         return None
     z = np.zeros(a.shape[1])
     z[support] = fit

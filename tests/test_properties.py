@@ -13,7 +13,8 @@ from compint.diagnostics import _eta_block, eta
 from compint.modes import (BasisKind, ComplexModalField, ModeBasis,
                            default_grid, field_interferogram, mode_table,
                            synthesize)
-from compint.recovery import BPOptions, basis_pursuit, ft_recover
+from compint.recovery import (BPOptions, _join_ratios, _ratios, basis_pursuit,
+                              ft_recover)
 from compint.sensing import (DelaySchedule, MeasurementVector, ModalSpectrum,
                              ScheduleKind, analytic_interferogram,
                              nyquist_schedule, random_schedule,
@@ -135,6 +136,51 @@ def test_exact_bp_raw_is_finite(problem, sigma, nonnegative, seed):
     res = basis_pursuit(phi, y, BPOptions(nonnegative=nonnegative))
     assert np.all(np.isfinite(res.raw))
     assert not nonnegative or np.all(res.raw >= 0.0)
+
+
+# Values that stress the ratio test: bounds at and one ulp either side of
+# +-1, whose gaps rounding leaves at or below 0, signed zeros, and rates at
+# and near a floor of 1e-3.
+_ONE_UP, _ONE_DOWN = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
+_BOUNDS = [1.0, -1.0, _ONE_UP, -_ONE_UP, _ONE_DOWN, -_ONE_DOWN, 0.0, -0.0, 0.5]
+_RATES = [0.0, -0.0, 1e-3, -1e-3, np.nextafter(1e-3, 1.0), -np.nextafter(1e-3, 1.0),
+          0.25, -0.25, 1.0, -1.0]
+
+
+@st.composite
+def _ratio_tests(draw):
+    """(c, v, floor, nonnegative) for `_join_ratios`, drawn from small pools
+    so that equal ratios recur."""
+    n = draw(st.integers(1, 24))
+    finite = st.builds(np.copysign, st.floats(1e-6, 3.0), st.sampled_from([1.0, -1.0]))
+    c_pool = draw(st.lists(st.one_of(st.sampled_from(_BOUNDS), finite),
+                           min_size=1, max_size=6))
+    v_pool = draw(st.lists(st.one_of(st.sampled_from(_RATES), finite),
+                           min_size=1, max_size=6))
+    c = np.array(draw(st.lists(st.sampled_from(c_pool), min_size=n, max_size=n)))
+    v = np.array(draw(st.lists(st.sampled_from(v_pool), min_size=n, max_size=n)))
+    floor = np.array(draw(st.lists(st.sampled_from([0.0, 1e-3]),
+                                   min_size=n, max_size=n)))
+    return c, v, floor, draw(st.booleans())
+
+
+@settings(_PROPERTY, max_examples=300)
+@given(_ratio_tests())
+def test_join_ratios_match_two_sided_ratio_test(problem):
+    # The one-pass ratio test equals, to the bit, the minimum of the two
+    # one-sided ones after rates at or below the floor are set to 0; the
+    # entering column is the same, ties included; and sign(v_j) is the side
+    # whose ratio it is.
+    c, v, floor, nonnegative = problem
+    clipped = v.copy()
+    clipped[np.abs(clipped) <= floor] = 0.0
+    up = _ratios(1.0 - c, clipped)
+    expected = up if nonnegative else np.minimum(up, _ratios(1.0 + c, -clipped))
+    join = _join_ratios(c, v.copy(), floor, nonnegative)
+    assert join.tobytes() == expected.tobytes()
+    assert np.argmin(join) == np.argmin(expected)
+    finite = expected < np.inf
+    np.testing.assert_array_equal((v > 0)[finite], (expected == up)[finite])
 
 
 @_PROPERTY

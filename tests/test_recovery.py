@@ -126,6 +126,21 @@ def test_bp_zero_measurements():
     assert res.iterations == 1
 
 
+def test_bp_data_inside_the_epsilon_ball():
+    # Nonzero data within epsilon of 0 give z = 0 at step 1; data just
+    # outside the ball are solved.  Both are far smaller than 1, so the
+    # solver's scaling of y by a power of two near max |y| is not the
+    # identity there.
+    phi = sensing_matrix(random_schedule(8, seed=10), 4)
+    y = phi.entries @ np.array([0.0, 0.7, 0.0, 0.3])
+    y /= np.linalg.norm(y)
+    inside = basis_pursuit(phi, MeasurementVector(0.5e-9 * y))
+    assert inside.converged and inside.iterations == 1
+    np.testing.assert_array_equal(inside.raw, np.zeros(4))
+    outside = basis_pursuit(phi, MeasurementVector(2e-9 * y))
+    assert outside.converged and np.count_nonzero(outside.raw) == 2
+
+
 def test_bp_matches_exhaustive_l1_oracle():
     worst = 0.0
     for i in range(10):
@@ -666,6 +681,68 @@ def test_path_residual_gate_is_relative():
         ref, _ = highs_bp(a, y)
         if ref is not None and np.allclose(ref / c, truth, rtol=0.0, atol=1e-12):
             np.testing.assert_allclose(res.raw / c, truth, rtol=0.0, atol=1e-12)
+
+
+def _three_sparse_problem():
+    """(a, y, support) for three-sparse signed data at M = 24, N = 32, whose
+    refit the dual point 0 certifies."""
+    a = sensing_matrix(random_schedule(24, seed=1), 32).entries
+    x = np.zeros(32)
+    x[[4, 11, 25]] = [0.6, -0.3, 0.8]
+    return a, a @ x, x != 0
+
+
+def test_refit_and_certificate_reuse_a_steps_arrays():
+    # Given a step's (active set, columns, Gram matrix), the refit and the
+    # certificate on that active set return, to the bit, what they return
+    # when they build the arrays themselves.  Arrays that cannot be factored
+    # show that they are used.
+    a, y, on = _three_sparse_problem()
+    cols = a[:, on]
+    active = (on, cols, cols.T @ cols)
+    z = recovery._refit(a, y, on)
+    assert z.tobytes() == recovery._refit(a, y, on, active).tobytes()
+    assert recovery._certified(a, y, z, np.zeros(24), False)
+    assert recovery._certified(a, y, z, np.zeros(24), False, active)
+    broken = (on, np.zeros_like(cols), np.zeros((3, 3)))
+    assert recovery._refit(a, y, on, broken) is None
+    assert not recovery._certified(a, y, z, np.zeros(24), False, broken)
+
+
+def test_refit_and_certificate_rebuild_off_the_active_set():
+    # Where the support differs from the step's active set (here z has an
+    # exact 0.0 on it), the step's arrays are not used: broken ones change
+    # nothing.
+    a, y, support = _three_sparse_problem()
+    on = support.copy()
+    on[7] = True
+    broken = (on, np.zeros((24, 4)), np.zeros((4, 4)))
+    z = recovery._refit(a, y, support)
+    assert z[7] == 0.0
+    assert z.tobytes() == recovery._refit(a, y, support, broken).tobytes()
+    assert recovery._certified(a, y, z, np.zeros(24), False, broken)
+
+
+def test_exact_bp_solve_budget(monkeypatch):
+    # A well-conditioned s-sparse solve certified at step s makes at most
+    # 2s + 3 linear solves: two per step, two for the refit and one for the
+    # certificate.
+    solve = np.linalg.solve
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    phi = sensing_matrix(random_schedule(30, seed=1), 64)
+    for s in (1, 2, 3, 4):
+        truth = np.zeros(64)
+        truth[np.arange(s) * 15 + 3] = np.linspace(1.0, 0.4, s)
+        calls.clear()
+        res = basis_pursuit(phi, MeasurementVector(phi.entries @ truth))
+        assert res.converged and res.iterations == s
+        assert len(calls) <= 2 * s + 3
 
 
 def test_bp_converged_implies_feasible():
