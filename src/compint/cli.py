@@ -751,6 +751,7 @@ def _run_sweep(cfg: RunConfig) -> CommandOutput:
         "std_error": result.std_error,
         "m_star": result.m_star,
         "runs": result.runs_per_point,
+        "unconverged": result.unconverged,
         "threshold": result.threshold,
         "n": p["n"],
         "s_max": p["s_max"],
@@ -758,8 +759,10 @@ def _run_sweep(cfg: RunConfig) -> CommandOutput:
     rows = list(zip(result.m_values.tolist(), result.mean_error.tolist(),
                     result.std_error.tolist()))
     star = "none" if result.m_star is None else str(result.m_star)
-    comments = [f"m_star = {star}", f"runs = {result.runs_per_point}"]
-    return CommandOutput(data, "M,mean_error,std_error", rows, comments)
+    comments = [f"m_star = {star}", f"runs = {result.runs_per_point}",
+                f"unconverged = {result.unconverged}"]
+    return CommandOutput(data, "M,mean_error,std_error", rows, comments,
+                         strict_violation=result.unconverged > 0)
 
 
 def _scenario_payload(result) -> dict:

@@ -98,6 +98,7 @@ class SweepResult:
     runs_per_point: int
     m_star: int | None
     threshold: float
+    unconverged: int = 0   # BP solves, over all (M, run) pairs, that did not converge
 
     def __post_init__(self):
         mv = _own_vector(self, "m_values", int)
@@ -109,6 +110,8 @@ class SweepResult:
             raise ValueError("error statistics must be nonnegative")
         if self.runs_per_point < 1:
             raise ValueError("runs_per_point must be >= 1")
+        if self.unconverged < 0:
+            raise ValueError("unconverged must be >= 0")
 
 
 def _unit_coeffs(basis: ModeBasis, entries: dict[int, complex]) -> ComplexModalField:
@@ -220,7 +223,9 @@ def error_vs_m_sweep(n_modes: int, s_max: int, m_values, runs: int,
     (M, run) pair gets an independent random schedule, so a run is a fresh
     (schedule, spectrum) draw.  Errors are scored against the known ground
     truth.  m_star is the smallest M whose mean error falls below
-    `threshold`, or None if none does.  Deterministic in (arguments, seed).
+    `threshold`, or None if none does; `unconverged` counts the solves that
+    did not converge, whose errors are averaged in all the same.
+    Deterministic in (arguments, seed).
     """
     m_values = np.asarray(list(m_values), dtype=int)
     if len(m_values) == 0:
@@ -244,6 +249,7 @@ def error_vs_m_sweep(n_modes: int, s_max: int, m_values, runs: int,
 
     mean_error = np.empty(len(m_values))
     std_error = np.empty(len(m_values))
+    unconverged = 0
     for j, m in enumerate(m_values):
         errors = np.empty(runs)
         for r in range(runs):
@@ -254,6 +260,7 @@ def error_vs_m_sweep(n_modes: int, s_max: int, m_values, runs: int,
             y = _measure(phi, truth)
             result = basis_pursuit(phi, y, opts)
             errors[r] = reconstruction_error(truth, result.raw)
+            unconverged += not result.converged
         mean_error[j] = errors.mean()
         std_error[j] = errors.std()
 
@@ -266,4 +273,5 @@ def error_vs_m_sweep(n_modes: int, s_max: int, m_values, runs: int,
         runs_per_point=runs,
         m_star=m_star,
         threshold=threshold,
+        unconverged=unconverged,
     )

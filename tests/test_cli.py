@@ -594,6 +594,20 @@ def test_sweep_command_small(capsys):
     assert lines[-1].startswith("20,")
 
 
+def test_sweep_strict_exits_on_unconverged_solves(capsys):
+    rc = main(["sweep", "--max-iters", "1", "--runs", "5", "--strict"])
+    body = json.loads(capsys.readouterr().out)
+    assert rc == EXIT_NOT_CONVERGED
+    assert body["data"]["unconverged"] == 30   # of 10 M values x 5 runs
+
+
+def test_sweep_strict_passes_when_every_solve_converges(capsys):
+    rc = main(["sweep", "--n", "8", "--s-max", "1", "--m-values", "20",
+               "--runs", "3", "--strict", "--format", "csv"])
+    assert rc == EXIT_OK
+    assert "# unconverged = 0" in capsys.readouterr().out.splitlines()
+
+
 def test_scenario_single_and_all(capsys):
     body = run_json(["scenario", "--name", "hg1"], capsys)
     assert body["data"]["name"] == "hg1"

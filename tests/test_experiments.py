@@ -14,7 +14,7 @@ from compint.experiments import (
 )
 from compint.modes import BasisKind, ComplexModalField, ModeBasis
 from compint import experiments, recovery
-from compint.recovery import Method, RecoveryResult, reconstruction_error
+from compint.recovery import BPOptions, Method, RecoveryResult, reconstruction_error
 from compint.sensing import ModalSpectrum
 
 from oracles import highs_bp
@@ -269,6 +269,22 @@ def test_sweep_result_validation():
     with pytest.raises(ValueError):
         SweepResult(np.array([5]), np.array([0.1]), np.array([0.0]),
                     runs_per_point=0, m_star=None, threshold=0.01)
+
+
+def test_sweep_counts_unconverged_solves(monkeypatch):
+    capped, solves = _recorded_sweep(monkeypatch, 64, 4, [5, 30], runs=5,
+                                     opts=BPOptions(max_iters=1))
+    assert capped.unconverged == sum(not r.converged for r in solves) > 0
+    full, solves = _recorded_sweep(monkeypatch, 64, 4, [5, 30], runs=5)
+    assert all(r.converged for r in solves)
+    assert full.unconverged == 0
+
+
+def test_sweep_result_unconverged_count():
+    args = (np.array([5]), np.array([0.1]), np.array([0.0]))
+    assert SweepResult(*args, 1, None, 0.01).unconverged == 0
+    with pytest.raises(ValueError):
+        SweepResult(*args, 1, None, 0.01, unconverged=-1)
 
 
 # ----------------------------------------------------------- random spectra

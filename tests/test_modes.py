@@ -86,7 +86,81 @@ def test_default_grid_is_shared_and_read_only(kind):
         grid.points[0] = 0.0
     with pytest.raises(ValueError):
         grid.weights[0] = 1.0
-    assert again is grid   # memoised: leggauss(1024) runs once per basis
+    assert again is grid   # memoised by (kind, waist, points)
+
+
+# ------------------------------------------------------- Gauss-Legendre rule
+
+
+_GL_SIZES = [2, 3, 4, 5, 64, 255, 256, 1024, 1025]
+
+
+@pytest.mark.parametrize("n", _GL_SIZES)
+def test_gauss_legendre_integrates_degree_2n_minus_1(n):
+    # int_{-1}^{1} P_j = 2 for j = 0 and 0 otherwise, exactly for j <= 2n - 1
+    x, w = modes._gauss_legendre(n)
+    moments = w @ np.polynomial.legendre.legvander(x, 2 * n - 1)
+    expected = np.zeros(2 * n)
+    expected[0] = 2.0
+    assert np.max(np.abs(moments - expected)) < 1e-13
+
+
+@pytest.mark.parametrize("n", _GL_SIZES)
+def test_gauss_legendre_is_ascending_and_exactly_symmetric(n):
+    x, w = modes._gauss_legendre(n)
+    assert x.shape == w.shape == (n,)
+    assert (np.diff(x) > 0).all()
+    assert (x == -x[::-1]).all()
+    assert (w == w[::-1]).all()
+    assert (w > 0).all()
+
+
+@pytest.mark.parametrize("n", _GL_SIZES)
+def test_gauss_legendre_matches_numpy_leggauss(n):
+    x, w = modes._gauss_legendre(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    # ulps of each node; at odd n both rules put the middle node at 0 exactly
+    assert (np.abs(x - ref_x) <= 4 * np.spacing(np.abs(ref_x))).all()
+    # leggauss's own weights are ~1e-8 off near +-1 at n = 1025
+    assert np.max(np.abs(w - ref_w) / ref_w) < 1e-7
+
+
+def test_gauss_legendre_memory_is_linear():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        modes._gauss_legendre(1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000   # leggauss(1024) peaks near 9 MB
+
+
+def test_gauss_legendre_refuses_unconverged_nodes(monkeypatch):
+    monkeypatch.setattr(modes, "_NEWTON_STEPS", 1)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        modes._gauss_legendre(64)
+
+
+def test_laguerre_gauss_default_grid_orthonormality_is_near_rounding():
+    basis = ModeBasis(BasisKind.LAGUERRE_GAUSS_RADIAL, 64)
+    grid = default_grid(basis)
+    table = mode_table(basis, grid)
+    gram = table.T @ (grid.weights[:, None] * table)
+    assert np.max(np.abs(gram - np.eye(64))) < 1e-14
+
+
+@pytest.mark.parametrize("kind", list(BasisKind))
+def test_default_grid_is_shared_across_orders(kind):
+    small, large = ModeBasis(kind, 8), ModeBasis(kind, 64)
+    grid = default_grid(small)
+    assert default_grid(large) is grid
+    assert default_grid(large, points=512) is not grid
+    assert default_grid(ModeBasis(kind, 64, waist=2.0)) is not grid
+    # each basis keeps its own table on the shared grid
+    assert mode_table(small, grid).shape == (1024, 8)
+    np.testing.assert_array_equal(mode_table(large, grid, 8), mode_table(small, grid))
 
 
 def test_modest_order_orthonormality_on_coarser_span():
