@@ -60,6 +60,69 @@ class EmitError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# interferogram file ingestion
+
+def ingest_interferogram(path: str, baseline: float = 1.0,
+                         wrap: bool = False) -> tuple[DelaySchedule, MeasurementVector]:
+    """Read a delay schedule and measurements from an `alpha,power` CSV.
+
+    Lines starting with '#' and blank lines are ignored.  The first content
+    line must be the header.  Delays outside [0, 2*pi] are an error unless
+    wrap is set, in which case they are reduced mod 2*pi.  Measurement values
+    are power minus baseline.  Errors carry 1-based physical line numbers.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+    except OSError as exc:
+        raise IngestError(f"cannot read {path}: {exc.strerror}")
+
+    alphas = []
+    powers = []
+    saw_header = False
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if not saw_header:
+            if [p.strip() for p in stripped.split(",")] != ["alpha", "power"]:
+                raise IngestError(
+                    f"{path}:{lineno}: expected header 'alpha,power', "
+                    f"got {stripped!r}")
+            saw_header = True
+            continue
+        parts = stripped.split(",")
+        if len(parts) != 2:
+            raise IngestError(
+                f"{path}:{lineno}: expected 2 comma-separated fields, "
+                f"got {len(parts)}")
+        try:
+            alpha = float(parts[0])
+            power = float(parts[1])
+        except ValueError:
+            raise IngestError(f"{path}:{lineno}: non-numeric field in {stripped!r}")
+        if not (math.isfinite(alpha) and math.isfinite(power)):
+            raise IngestError(f"{path}:{lineno}: non-finite value in {stripped!r}")
+        if wrap:
+            alpha = alpha % _TWO_PI
+        elif not 0.0 <= alpha <= _TWO_PI:
+            raise IngestError(
+                f"{path}:{lineno}: alpha {alpha!r} outside [0, 2*pi] "
+                "(pass wrap to reduce mod 2*pi)")
+        alphas.append(alpha)
+        powers.append(power)
+
+    if not saw_header:
+        raise IngestError(f"{path}: empty file, expected header 'alpha,power'")
+    if not alphas:
+        raise IngestError(f"{path}: no data rows after the header")
+
+    schedule = DelaySchedule(np.array(alphas), ScheduleKind.EXTERNAL)
+    values = np.array(powers) - baseline
+    return schedule, MeasurementVector(values)
+
+
+# ---------------------------------------------------------------------------
 # parameter schemas
 
 @dataclass(frozen=True)
@@ -258,8 +321,10 @@ _SCHEMAS = {
                         "interferogram CSV with header alpha,power"),
         "method": _Param("bp", _choice("ft", "bp"),
                          "harmonic inversion (ft) or Basis Pursuit (bp)"),
-        "baseline": _Param(1.0, _FINITE, "baseline subtracted from power"),
-        "wrap": _Param(False, _bool, "reduce out-of-range delays mod 2*pi"),
+        "baseline": _Param(_default(ingest_interferogram, "baseline"), _FINITE,
+                           "baseline subtracted from power"),
+        "wrap": _Param(_default(ingest_interferogram, "wrap"), _bool,
+                       "reduce out-of-range delays mod 2*pi"),
         "n": _Param(64, _COUNT, "number of potential modes"),
         "epsilon": _Param(_default(BPOptions, "residual_epsilon"), _NONNEGATIVE,
                           "BP residual radius"),
@@ -469,69 +534,6 @@ def parse_config(command: str, config_path: str | None = None,
         output_format=values["format"],
         strict=values["strict"],
     )
-
-
-# ---------------------------------------------------------------------------
-# interferogram file ingestion
-
-def ingest_interferogram(path: str, baseline: float = 1.0,
-                         wrap: bool = False) -> tuple[DelaySchedule, MeasurementVector]:
-    """Read a delay schedule and measurements from an `alpha,power` CSV.
-
-    Lines starting with '#' and blank lines are ignored.  The first content
-    line must be the header.  Delays outside [0, 2*pi] are an error unless
-    wrap is set, in which case they are reduced mod 2*pi.  Measurement values
-    are power minus baseline.  Errors carry 1-based physical line numbers.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc.strerror}")
-
-    alphas = []
-    powers = []
-    saw_header = False
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if not saw_header:
-            if [p.strip() for p in stripped.split(",")] != ["alpha", "power"]:
-                raise IngestError(
-                    f"{path}:{lineno}: expected header 'alpha,power', "
-                    f"got {stripped!r}")
-            saw_header = True
-            continue
-        parts = stripped.split(",")
-        if len(parts) != 2:
-            raise IngestError(
-                f"{path}:{lineno}: expected 2 comma-separated fields, "
-                f"got {len(parts)}")
-        try:
-            alpha = float(parts[0])
-            power = float(parts[1])
-        except ValueError:
-            raise IngestError(f"{path}:{lineno}: non-numeric field in {stripped!r}")
-        if not (math.isfinite(alpha) and math.isfinite(power)):
-            raise IngestError(f"{path}:{lineno}: non-finite value in {stripped!r}")
-        if wrap:
-            alpha = alpha % _TWO_PI
-        elif not 0.0 <= alpha <= _TWO_PI:
-            raise IngestError(
-                f"{path}:{lineno}: alpha {alpha!r} outside [0, 2*pi] "
-                "(pass wrap to reduce mod 2*pi)")
-        alphas.append(alpha)
-        powers.append(power)
-
-    if not saw_header:
-        raise IngestError(f"{path}: empty file, expected header 'alpha,power'")
-    if not alphas:
-        raise IngestError(f"{path}: no data rows after the header")
-
-    schedule = DelaySchedule(np.array(alphas), ScheduleKind.EXTERNAL)
-    values = np.array(powers) - baseline
-    return schedule, MeasurementVector(values)
 
 
 # ---------------------------------------------------------------------------

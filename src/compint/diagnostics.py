@@ -2,9 +2,13 @@
 
 Probes the properties that make random sub-Nyquist cosine sampling usable for
 sparse recovery: the per-vector isometry defect eta(x), its distribution over
-an ensemble of sparse vectors (a proxy for the restricted isometry constant),
-the incoherence bound max |entry|^2 <= 1, and the row second-moment matrix
-E[phi^T phi] = 0.5 I.
+an ensemble of sparse vectors, the incoherence bound max |entry|^2 <= 1, and
+the row second-moment matrix E[phi^T phi] = 0.5 I.  The restricted isometry
+constant delta_s is the largest |eta| over all s-sparse vectors, so an
+ensemble's max |eta| is only a lower bound on it, and a loose one: at M = 30,
+N = 64, s = 4 and seed 3, 10^5 samples give max |eta| = 1.0785, while the
+extreme eigenvalues of (2/M) Phi_S^T Phi_S over the same supports give
+delta_4 >= 1.296.
 """
 from __future__ import annotations
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +22,8 @@ from .sensing import (DelaySchedule, MeasurementVector, ModalSpectrum,
 _EVEN_GRID_TOL = 1e-9
 
 # Relative tolerance of the Basis Pursuit solvers: the residual gate and the
-# duality gap of exact solves, their pivot tolerance, the KKT test of the
-# homotopy and the floor of the Lasso path's lam.
+# duality gap of exact solves, their pivot tolerance, and the KKT test of the
+# homotopy and the floor of its lam, relative to lam's start.
 TOL = 1e-8
 
 
@@ -412,54 +411,49 @@ def _refit(a: np.ndarray, yv: np.ndarray, support: np.ndarray, active=None):
     return z
 
 
-class _Segment(NamedTuple):
-    """One linear segment of the Lasso path, at its top (see `_lasso_path`)."""
+def _homotopy(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
+    """Basis Pursuit for epsilon > abs_tol by the l1 homotopy: (z, steps, converged).
 
-    on: np.ndarray      # the active set S
-    x: np.ndarray       # x(lam) (the walk's own array, updated as it goes on)
-    lam: float
-    d: np.ndarray       # G^-1 s on S, for the Gram matrix G = Phi_S^T Phi_S
-    r: np.ndarray       # y - Phi x
-    u: np.ndarray       # Phi_S d
-    q: float            # s^T d
-    t: float            # the fall in lam to the segment's end
-
-
-def _lasso_path(a: np.ndarray, yv: np.ndarray, nonnegative: bool, max_steps: int):
-    """The Lasso path x(lam) = argmin ||Phi x - y||^2 / 2 + lam ||x||_1, one
-    `_Segment` at a time (the positive Lasso with `nonnegative`; Osborne,
-    Presnell & Turlach 2000; Efron et al. 2004, section 3.4).
-
-    Starts at lam = max |Phi^T y|.  On a segment x = G^-1 Phi_S^T y - lam d
-    on S, for the path signs s, and it ends where an entry joins or leaves
-    S, or lam reaches 0; one np.linalg.solve gives d.  Entries that tie join
-    one segment apart, the second after a fall of 0: a join whose gap
-    rounding left below 0 counts as one at 0.  An entry that has just left S
-    may not rejoin with its old sign: rounding allows it at once.  The walk
-    ends after max_steps segments, where G is singular, or where lam falls
-    below TOL times its start: there rounding in Phi^T r is no longer small
-    beside lam.  A consumer that stops within a segment updates the
-    segment's x itself.
+    Walks the Lasso path x(lam) = argmin ||Phi x - y||^2 / 2 + lam ||x||_1
+    (the positive Lasso with `nonnegative`; Osborne, Presnell & Turlach
+    2000; Efron et al. 2004, section 3.4) down from lam = max |Phi^T y|.  On
+    a segment x = G^-1 Phi_S^T y - lam d on the active set S, for the path
+    signs s, G = Phi_S^T Phi_S and d = G^-1 s.  A step solves for d and
+    finds where the segment ends (an entry joins or leaves S, or lam reaches
+    0) and where ||y - Phi x|| reaches epsilon, refined by one Newton step;
+    it stops at the latter if that comes first, else it steps to the end
+    and updates S and s.  Entries that tie join one segment apart, the
+    second after a fall of 0: a join whose gap rounding left below 0 counts
+    as one at 0.  An entry that has just left S may not rejoin with its old
+    sign at once, which rounding would allow.  Short of epsilon the walk
+    ends, unconverged, after max_iters steps, where G is singular, or where
+    lam falls below TOL times its start: there rounding in Phi^T r is no
+    longer small beside lam, and the program counts as infeasible.  Data
+    inside the epsilon-ball around 0 give z = 0 in 0 steps.  `converged` is
+    the KKT certificate, for r = y - Phi x: |Phi^T r| <= lam (1 + TOL),
+    |Phi^T r - lam sign(x)| <= lam TOL on the support of x, and
+    | ||r|| - epsilon | <= abs_tol.
     """
-    n = a.shape[1]
-    x, signs = np.zeros(n), np.zeros(n)
+    n, eps, nonnegative = a.shape[1], opts.residual_epsilon, opts.nonnegative
+    x = np.zeros(n)
+    if _norm(yv) <= eps:
+        return x, 0, True
+    signs = np.zeros(n)
     c = a.T @ yv
     j = int(np.argmax(c if nonnegative else np.abs(c)))
     lam = float(c[j] if nonnegative else abs(c[j]))
     signs[j] = np.copysign(1.0, c[j])
-    floor, left = TOL * lam, None
-    for _ in range(max_steps):
-        if not lam > floor:
-            return
+    floor, left, steps, reached = TOL * lam, None, 0, False
+    while steps < opts.max_iters and lam > floor:
         on = signs != 0
         cols = a[:, on]
         try:
             d = np.linalg.solve(cols.T @ cols, signs[on])
         except np.linalg.LinAlgError:
-            return
+            break
         q = signs[on] @ d
         if not 0 < q < np.inf:  # s^T G^-1 s > 0 unless G is singular
-            return
+            break
         r, u = yv - cols @ x[on], cols @ d
         c, v = a.T @ r, a.T @ u
         # The falls in lam at which an entry off S joins it with sign +1 (up)
@@ -467,14 +461,25 @@ def _lasso_path(a: np.ndarray, yv: np.ndarray, nonnegative: bool, max_steps: int
         up, down = _ratios(lam - c, 1.0 - v), _ratios(lam + c, 1.0 + v)
         with np.errstate(divide="ignore", invalid="ignore"):
             leave = np.full(n, np.inf)
-            leave[on] = _positive(-x[on] / d)
+            fall = -x[on] / d
+            leave[on] = np.where(fall > 0, fall, np.inf)
         if left is not None:
             (up if left[1] > 0 else down)[left[0]] = np.inf
         join = up if nonnegative else np.minimum(up, down)
         join[on] = np.inf
         j, k = int(np.argmin(join)), int(np.argmin(leave))
         t = min(join[j], leave[k], lam)
-        yield _Segment(on, x, lam, d, r, u, q, t)
+        steps += 1
+        # ||r||^2 falls by (lam^2 - (lam - t)^2) q over a fall of t.
+        rest = lam * lam - max(r @ r - eps * eps, 0.0) / q
+        stop = lam - math.sqrt(rest) if rest >= 0 else np.inf
+        if stop <= t:
+            rt = r - stop * u
+            if rt @ u > 0:  # Newton: rest loses digits where ||r|| >> eps
+                stop = min(t, stop + (rt @ rt - eps * eps) / (2 * rt @ u))
+            x[on] += stop * d
+            lam, reached = lam - stop, True
+            break
         x[on] += t * d
         lam -= t
         left = None
@@ -482,39 +487,9 @@ def _lasso_path(a: np.ndarray, yv: np.ndarray, nonnegative: bool, max_steps: int
             x[k], left, signs[k] = 0.0, (k, signs[k]), 0.0
         elif t == join[j]:
             signs[j] = np.copysign(1.0, c[j] - t * v[j])
-
-
-def _homotopy(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
-    """Basis Pursuit for epsilon > abs_tol by the l1 homotopy: (z, steps, converged).
-
-    Follows the Lasso path (`_lasso_path`) as lam falls from max |Phi^T y| to
-    where ||Phi x - y|| = epsilon and x solves the program; if the walk ends
-    first, the program counts as infeasible.  `converged` is the KKT
-    certificate, for r = y - Phi x: |Phi^T r| <= lam (1 + TOL),
-    |Phi^T r - lam sign(x)| <= lam TOL on the support of x, and
-    | ||r|| - epsilon | <= abs_tol.
-    """
-    n, eps = a.shape[1], opts.residual_epsilon
-    x = np.zeros(n)
-    if _norm(yv) <= eps:
-        return x, 0, True
-    steps, lam, reached = 0, 0.0, False
-    for seg in _lasso_path(a, yv, opts.nonnegative, opts.max_iters):
-        steps += 1
-        x = seg.x
-        # ||r||^2 falls by (lam^2 - (lam - t)^2) q over a fall of t.
-        rest = seg.lam * seg.lam - max(seg.r @ seg.r - eps * eps, 0.0) / seg.q
-        t = seg.lam - math.sqrt(rest) if rest >= 0 else np.inf
-        if t <= seg.t:
-            rt = seg.r - t * seg.u
-            if rt @ seg.u > 0:  # Newton: rest loses digits where ||r|| >> eps
-                t = min(seg.t, t + (rt @ rt - eps * eps) / (2 * rt @ seg.u))
-            x[seg.on] += t * seg.d
-            lam, reached = seg.lam - t, True
-            break
     r = yv - a @ x
     c, on = a.T @ r, x != 0
-    top = c.max() if opts.nonnegative else np.abs(c).max()
+    top = c.max() if nonnegative else np.abs(c).max()
     return x, steps, bool(reached and abs(_norm(r) - eps) <= opts.abs_tol
                           and top <= lam * (1.0 + TOL)
                           and np.all(np.abs(c[on] - lam * np.sign(x[on])) <= lam * TOL))
@@ -526,11 +501,6 @@ def _ratios(gap: np.ndarray, rate: np.ndarray) -> np.ndarray:
     bound."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(rate > 0, np.maximum(gap, 0.0) / rate, np.inf)
-
-
-def _positive(t: np.ndarray) -> np.ndarray:
-    """t with each entry that is not > 0 (NaN too) replaced by inf."""
-    return np.where(t > 0, t, np.inf)
 
 
 def reconstruction_error(reference, estimate) -> float:

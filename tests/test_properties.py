@@ -7,6 +7,7 @@ database, so every run checks the same cases.
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 from compint.cli import _GLOBALS, _SCHEMAS, ConfigError, parse_config
 from compint.diagnostics import _eta_block, eta
@@ -78,17 +79,22 @@ def test_bp_scale_equivariance(problem, c):
 
 
 @_PROPERTY
-@given(_sparse_problems(), st.data())
-def test_bp_row_permutation_invariance(problem, data):
+@given(_sparse_problems(), st.data(), st.sampled_from([1e-9, 0.05]))
+def test_bp_row_permutation_invariance(problem, data, eps):
+    # both routes: the exact solver at 1e-9 and the homotopy at 0.05
     phi, x = problem
     perm = np.array(data.draw(st.permutations(range(phi.shape[0]))))
     y = phi.entries @ x
     shuffled = DelaySchedule(phi.schedule.alphas[perm], ScheduleKind.EXTERNAL)
-    opts = BPOptions(max_iters=_CAP)
+    opts = BPOptions(residual_epsilon=eps, max_iters=_CAP)
     res = basis_pursuit(phi, MeasurementVector(y), opts)
     res_shuffled = basis_pursuit(sensing_matrix(shuffled, len(x)),
                                  MeasurementVector(y[perm]), opts)
-    assert _rel_diff(res_shuffled.raw, res.raw) <= 1e-9
+    assert res_shuffled.converged == res.converged
+    if res.raw.any():
+        assert _rel_diff(res_shuffled.raw, res.raw) <= 1e-9
+    else:  # data within epsilon of 0
+        assert not res_shuffled.raw.any()
 
 
 @_PROPERTY
@@ -123,6 +129,42 @@ def test_converged_bp_is_feasible(problem, sigma, eps, nonnegative, seed):
     res = basis_pursuit(phi, y, opts)
     if res.converged:
         assert np.linalg.norm(phi.entries @ res.raw - y.values) <= eps + opts.abs_tol
+
+
+@_PROPERTY
+@given(_sparse_problems(), st.sampled_from([0.003, 0.01, 0.03]), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_homotopy_is_optimal_by_weak_duality(problem, sigma, nonnegative, seed):
+    # At a noise-matched epsilon, nu = r / ||Phi^T r||_inf (r / max Phi^T r
+    # under `nonnegative`) is dual feasible for the residual r of the
+    # returned z, and y^T nu - epsilon ||nu|| bounds the l1 norm of every x
+    # with ||Phi x - y|| <= epsilon from below.  A converged solve closes
+    # that gap to 1e-8 relative; z = 0 is optimal where ||y|| <= epsilon.
+    # An unconverged one is infeasible: no x (x >= 0 under `nonnegative`)
+    # comes within epsilon of y.
+    phi, x = problem
+    a, m = phi.entries, phi.shape[0]
+    eps = sigma * np.sqrt(m + 2 * np.sqrt(2 * m))
+    y = sample_interferogram(ModalSpectrum(x), phi.schedule, sigma, seed).values
+    res = basis_pursuit(phi, MeasurementVector(y),
+                        BPOptions(residual_epsilon=eps, nonnegative=nonnegative,
+                                  max_iters=_CAP))
+    if not res.converged:
+        if nonnegative:
+            nearest = nnls(a, y)[1]
+        else:
+            nearest = np.linalg.norm(a @ np.linalg.lstsq(a, y, rcond=None)[0] - y)
+        assert nearest > eps
+        return
+    assert not nonnegative or np.all(res.raw >= 0.0)
+    l1 = np.abs(res.raw).sum()
+    if l1 == 0.0:
+        assert np.linalg.norm(y) <= eps
+        return
+    r = y - a @ res.raw
+    c = a.T @ r
+    nu = r / (c.max() if nonnegative else np.abs(c).max())
+    assert l1 - (y @ nu - eps * np.linalg.norm(nu)) <= 1e-8 * l1
 
 
 @_PROPERTY
