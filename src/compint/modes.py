@@ -123,13 +123,20 @@ class SampledGrid:
 
 @dataclass(frozen=True)
 class ComplexModalField:
-    """Complex modal coefficients c_n, n = 1..N, in a given basis."""
+    """Complex modal coefficients c_n, n = 1..N, in a given basis.
+
+    Each field also keeps its alpha = 0 reference and that reference's norm
+    for the last grid it was evaluated on (see `field_interferogram`), in a
+    `_reference` slot that is not a dataclass field, so `repr`, `==` and
+    `dataclasses.replace` ignore it and a replaced field starts empty.
+    """
 
     basis: ModeBasis
     coeffs: np.ndarray
     normalized: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "_reference", None)
         c = _own_vector(self, "coeffs", complex)
         if len(c) != self.basis.max_order:
             raise ValueError(
@@ -364,12 +371,19 @@ def field_interferogram(field: ComplexModalField, alpha: float,
     Superposes the delayed field with its alpha = 0 reference and integrates
     the intensity re^2 + im^2 over the grid, scaled so that P(0) = 2 exactly.
     For a normalized field this equals 1 + sum_n |c_n|^2 cos(n*alpha) up to
-    quadrature error.
+    quadrature error.  The reference and its norm are computed once per field
+    and grid and kept on the field, read-only, until it is evaluated on
+    another grid; later calls synthesize only the delayed field.
     """
     if grid is None:
         grid = default_grid(field.basis)
-    ref = synthesize(field, grid)
-    base = float(grid.weights @ (ref.real ** 2 + ref.imag ** 2))
+    memo = field._reference
+    if memo is None or memo[0] is not grid:
+        ref = synthesize(field, grid)
+        ref.flags.writeable = False
+        memo = (grid, ref, float(grid.weights @ (ref.real ** 2 + ref.imag ** 2)))
+        object.__setattr__(field, "_reference", memo)
+    _, ref, base = memo
     if base <= 0.0:
         raise ValueError("field has zero norm on this grid")
     both = synthesize(generalized_delay(field, alpha), grid) + ref

@@ -452,8 +452,9 @@ def test_synthesize_matches_complex_product(kind, n):
 def test_zero_field_rejected():
     basis = ModeBasis(BasisKind.HERMITE_GAUSS_1D, 4)
     field = ComplexModalField(basis, np.zeros(4, complex))
-    with pytest.raises(ValueError):
-        field_interferogram(field, 1.0)
+    for _ in range(2):   # also once the zero reference is stored
+        with pytest.raises(ValueError, match="zero norm"):
+            field_interferogram(field, 1.0)
 
 
 @pytest.mark.parametrize("kind", list(BasisKind))
@@ -472,3 +473,85 @@ def test_field_interferogram_matches_weight_formula(kind):
             got = field_interferogram(field, float(alpha), grid)
             expect = analytic_interferogram(x, float(alpha))
             assert abs(got - expect) < 1e-9
+
+
+# ------------------------------------------------------ memoised reference
+
+
+def unmemoised_interferogram(field, alpha, grid):
+    # field_interferogram's formula with the reference built on every call
+    ref = synthesize(field, grid)
+    base = float(grid.weights @ (ref.real ** 2 + ref.imag ** 2))
+    both = synthesize(generalized_delay(field, alpha), grid) + ref
+    return float(grid.weights @ (both.real ** 2 + both.imag ** 2)) / (2.0 * base)
+
+
+@pytest.mark.parametrize("kind", list(BasisKind))
+@pytest.mark.parametrize("support", [3, 64])
+def test_memoised_interferogram_is_bit_identical(kind, support):
+    basis = ModeBasis(kind, 64)
+    grid = default_grid(basis)
+    rng = np.random.default_rng(2900 + support)
+    for _ in range(3):
+        c = np.zeros(64, complex)
+        idx = rng.choice(64, size=support, replace=False)
+        c[idx] = rng.standard_normal(support) + 1j * rng.standard_normal(support)
+        field = ComplexModalField(basis, c)
+        spread = rng.uniform(0.0, 2.0 * np.pi, 10)
+        alphas = [0.0, np.pi, *spread, *(2.0 * np.pi - spread)]
+        for _ in range(2):
+            for alpha in alphas:
+                got = field_interferogram(field, float(alpha), grid)
+                assert got == unmemoised_interferogram(field, float(alpha), grid)
+        assert field_interferogram(field, 0.0, grid) == 2.0
+
+
+def count_synthesize(monkeypatch):
+    calls = []
+
+    def counted(field, grid, _synthesize=modes.synthesize):
+        calls.append(grid)
+        return _synthesize(field, grid)
+    monkeypatch.setattr(modes, "synthesize", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", list(BasisKind))
+def test_reference_synthesized_once_per_field_and_grid(kind, monkeypatch):
+    basis = ModeBasis(kind, 16)
+    calls = count_synthesize(monkeypatch)
+    field = ComplexModalField(basis, np.linspace(1.0, 2.0, 16) + 0.5j)
+    field_interferogram(field, 0.3)
+    assert len(calls) == 2        # the reference, then the delayed field
+    for grid in (None, default_grid(basis), None):
+        calls.clear()
+        field_interferogram(field, 1.1, grid)
+        assert len(calls) == 1    # the shared default grid hits the entry
+    # alternating between twin grids replaces the entry on every call
+    twins = fresh_grid(basis), fresh_grid(basis)
+    for k, alpha in enumerate(np.linspace(0.0, 6.0, 6)):
+        grid = twins[k % 2]
+        calls.clear()
+        got = field_interferogram(field, float(alpha), grid)
+        assert calls == [grid, grid]
+        assert got == field_interferogram(
+            ComplexModalField(basis, field.coeffs), float(alpha), grid)
+    calls.clear()
+    field_interferogram(field, 2.0, twins[1])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", list(BasisKind))
+def test_reference_is_read_only_and_no_dataclass_field(kind):
+    basis = ModeBasis(kind, 1)
+    field = ComplexModalField(basis, [0.6 + 0.8j])
+    assert field._reference is None
+    field_interferogram(field, 1.0)
+    grid, ref, base = field._reference
+    assert grid is default_grid(basis)
+    with pytest.raises(ValueError):
+        ref[0] = 0.0
+    assert np.array_equal(ref, synthesize(field, grid))
+    assert "_reference" not in repr(field)
+    assert field == ComplexModalField(basis, [0.6 + 0.8j])
+    assert dataclasses.replace(field)._reference is None

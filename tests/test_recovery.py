@@ -181,10 +181,11 @@ def _noisy_problems():
 
 
 def test_homotopy_entry_that_left_does_not_rejoin_at_once():
-    # At M = 3 an entry leaves the support at step 3.  Were it allowed back
-    # with its old sign, rounding would let it rejoin after a fall of 9e-16 in
-    # lam, and the path would end, unconverged, on a support with twice the
-    # l1.
+    # At M = 3 entry 21 leaves the support at step 3, and the walk has to go
+    # on past that leave: it reaches the eps-ball in 5 steps, converged, at
+    # l1 0.789790.  This pins a path through a leave, not the rejoin ban:
+    # entry 21 is not the next to join (entry 51 is), so the walk takes the
+    # same 5 steps to the same l1 with the ban disabled.
     rng = np.random.default_rng(11059)
     n = 64
     m = int(rng.integers(3, 61))
