@@ -13,12 +13,11 @@ delta_4 >= 1.296.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._rng import derive_seed, stream
-from .modes import _TWO_PI, _own
+from .modes import _TWO_PI, _frozen_value, _own
 from .sensing import (SensingMatrix, _as_vector, _random_delays, random_schedule,
                       sensing_matrix)
 
@@ -36,7 +35,7 @@ _ETA_BLOCK = 4096
 _ISOTROPY_BLOCK = 2048
 
 
-@dataclass(frozen=True)
+@_frozen_value
 class EtaEnsembleReport:
     """Histogram and summary statistics of eta over an s-sparse ensemble.
 
@@ -66,7 +65,7 @@ class EtaEnsembleReport:
             raise ValueError("max_abs_eta cannot be below |mean_eta|")
 
 
-@dataclass(frozen=True)
+@_frozen_value
 class IsotropyReport:
     """Monte-Carlo estimate of the row second-moment matrix E[phi^T phi]."""
 

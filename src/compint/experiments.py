@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import derive_seed, stream
-from .modes import BasisKind, ComplexModalField, ModeBasis, _own_vector
+from .modes import BasisKind, ComplexModalField, ModeBasis, _frozen_value, _own_vector
 from .recovery import (BPOptions, RecoveryResult, _ft_invert, basis_pursuit,
                        reconstruction_error)
 from .sensing import (ModalSpectrum, _measure, nyquist_schedule, random_schedule,
@@ -88,7 +88,7 @@ class ScenarioResult:
                 raise ValueError(f"{label} must be >= 0")
 
 
-@dataclass(frozen=True)
+@_frozen_value
 class SweepResult:
     """Mean/spread of BP reconstruction error at each measurement count."""
 

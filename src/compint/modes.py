@@ -19,7 +19,7 @@ import enum
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -94,13 +94,37 @@ def _own_vector(obj, name: str, dtype=float) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+def _value_eq(self, other):
+    """`==` by value: same type and equal dataclass fields, arrays by np.array_equal."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for f in fields(self):
+        a, b = getattr(self, f.name), getattr(other, f.name)
+        if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+            return False
+    return True
+
+
+def _frozen_value(cls):
+    """`dataclass(frozen=True)` for a type with ndarray fields, compared by value.
+
+    The generated `==` would compare the arrays elementwise and raise on
+    their truth value; `_value_eq` takes its place.  Slots that are not
+    dataclass fields (`_tables`, `_reference`) take no part.  Such a type
+    stays unhashable, as its arrays are.
+    """
+    cls.__eq__ = _value_eq
+    cls.__hash__ = None
+    return dataclass(frozen=True, eq=False)(cls)
+
+
+@_frozen_value
 class SampledGrid:
     """Quadrature nodes and weights discretizing the transverse integral.
 
     Each grid also keeps the mode tables built on it (see `mode_table`), in a
-    dict that is not a dataclass field, so `repr` and `dataclasses.replace`
-    ignore it and a replaced grid starts empty.
+    dict that is not a dataclass field, so `repr`, `==` and
+    `dataclasses.replace` ignore it and a replaced grid starts empty.
     """
 
     points: np.ndarray
@@ -121,7 +145,7 @@ class SampledGrid:
         return len(self.points)
 
 
-@dataclass(frozen=True)
+@_frozen_value
 class ComplexModalField:
     """Complex modal coefficients c_n, n = 1..N, in a given basis.
 
@@ -129,6 +153,8 @@ class ComplexModalField:
     for the last grid it was evaluated on (see `field_interferogram`), in a
     `_reference` slot that is not a dataclass field, so `repr`, `==` and
     `dataclasses.replace` ignore it and a replaced field starts empty.
+    `field_interferogram` evaluates each delay through `_delayed`, a field
+    derived from its parent without `__post_init__`'s copy and checks.
     """
 
     basis: ModeBasis
@@ -146,6 +172,24 @@ class ComplexModalField:
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(
                     f"normalized field must have unit power, got {total}")
+
+    @classmethod
+    def _delayed(cls, field: ComplexModalField,
+                 coeffs: np.ndarray) -> ComplexModalField:
+        """`field` delayed, from `coeffs`, a new array of field.coeffs times phases.
+
+        Skips the copy and the checks of `__post_init__`: coeffs is new, 1-D
+        and of length N, and its entries are unit-modulus multiples of
+        entries that passed those checks, so it is finite wherever the
+        parent's norm is, and keeps the parent's power.
+        """
+        coeffs.flags.writeable = False
+        out = object.__new__(cls)
+        object.__setattr__(out, "basis", field.basis)
+        object.__setattr__(out, "coeffs", coeffs)
+        object.__setattr__(out, "normalized", field.normalized)
+        object.__setattr__(out, "_reference", None)
+        return out
 
     def mode_weights(self) -> np.ndarray:
         """Modal weights |c_n|^2."""
@@ -323,20 +367,41 @@ def mode_function(basis: ModeBasis, n: int, grid: SampledGrid) -> np.ndarray:
     return psi
 
 
-def generalized_delay(field: ComplexModalField, alpha: float) -> ComplexModalField:
-    """Apply the delay: c_n -> c_n * exp(i*n*alpha).  Preserves |c_n|."""
+@functools.lru_cache(maxsize=None)
+def _harmonics(n_modes: int) -> np.ndarray:
+    """1j * n for n = 1..n_modes, read-only: the exponent of the delay per alpha."""
+    h = 1j * np.arange(1, n_modes + 1)
+    h.flags.writeable = False
+    return h
+
+
+def _delay_phases(n_modes: int, alpha: float) -> np.ndarray:
+    """exp(i*n*alpha), n = 1..n_modes: the one phase rule of every delay.
+
+    alpha must be finite and is reduced mod 2*pi first.  Python's float %
+    takes the divisor's sign, but rounds a tiny negative alpha up to 2*pi,
+    which is the same delay as 0, so 2*pi maps to 0.
+    """
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    # Python's float % takes the divisor's sign, but rounds a tiny negative
-    # alpha up to 2*pi, which is the same delay as 0.
     alpha %= _TWO_PI
     if alpha == _TWO_PI:
         alpha = 0.0
-    n = np.arange(1, field.basis.max_order + 1)
+    return np.exp(_harmonics(n_modes) * alpha)
+
+
+def generalized_delay(field: ComplexModalField, alpha: float) -> ComplexModalField:
+    """Apply the delay: c_n -> c_n * exp(i*n*alpha).  Preserves |c_n|.
+
+    The phases follow `_delay_phases`, the rule `delay_kernel` and
+    `field_interferogram` share: alpha must be finite and is taken mod 2*pi,
+    with a tiny negative alpha giving exactly 0.  The result is a new field,
+    validated as any field is.
+    """
     return ComplexModalField(
         basis=field.basis,
-        coeffs=field.coeffs * np.exp(1j * n * alpha),
+        coeffs=field.coeffs * _delay_phases(field.basis.max_order, alpha),
         normalized=field.normalized,
     )
 
@@ -346,12 +411,11 @@ def delay_kernel(basis: ModeBasis, alpha: float, grid: SampledGrid) -> np.ndarra
 
     Truncated at basis.max_order; exists for verification (applying the delay
     through the kernel is O(G^2) versus O(N*G) in coefficient space).  Apply
-    to sampled fields as kernel @ (grid.weights * samples).
+    to sampled fields as kernel @ (grid.weights * samples).  The phases are
+    `generalized_delay`'s, so a tiny negative alpha gives the identity's.
     """
-    if not np.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
+    phases = _delay_phases(basis.max_order, alpha)
     psi = mode_table(basis, grid)
-    phases = np.exp(1j * np.arange(1, basis.max_order + 1) * np.mod(alpha, _TWO_PI))
     return (psi * phases) @ psi.T
 
 
@@ -373,7 +437,11 @@ def field_interferogram(field: ComplexModalField, alpha: float,
     For a normalized field this equals 1 + sum_n |c_n|^2 cos(n*alpha) up to
     quadrature error.  The reference and its norm are computed once per field
     and grid and kept on the field, read-only, until it is evaluated on
-    another grid; later calls synthesize only the delayed field.
+    another grid.  Each call then synthesizes only the delayed field, whose
+    coefficients follow `generalized_delay`'s phase rule but which is derived
+    from the field without its copy and checks, and squares the superposed
+    samples in that synthesis's own buffer.  Raises ValueError if the
+    reference's norm is zero or underflows, or if it or P overflows.
     """
     if grid is None:
         grid = default_grid(field.basis)
@@ -384,9 +452,19 @@ def field_interferogram(field: ComplexModalField, alpha: float,
         memo = (grid, ref, float(grid.weights @ (ref.real ** 2 + ref.imag ** 2)))
         object.__setattr__(field, "_reference", memo)
     _, ref, base = memo
-    if base <= 0.0:
-        raise ValueError("field has zero norm on this grid")
-    both = synthesize(generalized_delay(field, alpha), grid) + ref
-    raw = float(grid.weights @ (both.real ** 2 + both.imag ** 2))
+    if base == 0.0:
+        raise ValueError("field has zero norm on this grid, or its norm underflows")
+    if not base < math.inf:
+        raise ValueError("field norm overflows on this grid")
+    delayed = ComplexModalField._delayed(
+        field, field.coeffs * _delay_phases(field.basis.max_order, alpha))
+    # The delayed synthesis's [Re E, Im E] rows, summed with the reference's
+    # and squared in place: the operations of (E + ref).real ** 2 + .imag ** 2.
+    both = synthesize(delayed, grid).view(float).reshape(-1, 2)
+    both += ref.view(float).reshape(-1, 2)
+    both *= both
+    raw = float(grid.weights @ (both[:, 0] + both[:, 1]))
+    if not math.isfinite(raw):
+        raise ValueError("field interferogram overflows on this grid")
     # P(0) integrates |2 E|^2 = 4 * base; dividing by 2 * base pins P(0) = 2.
     return raw / (2.0 * base)

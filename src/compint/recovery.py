@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modes import _own
+from .modes import _frozen_value, _own
 from .sensing import (DelaySchedule, MeasurementVector, ModalSpectrum,
                       SensingMatrix, _as_vector, even_alphas, sensing_matrix)
 
@@ -75,7 +75,7 @@ class BPOptions:
             raise ValueError("zero_threshold must be >= 0")
 
 
-@dataclass(frozen=True)
+@_frozen_value
 class RecoveryResult:
     """Recovered spectrum plus solver metadata.
 

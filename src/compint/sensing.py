@@ -8,15 +8,14 @@ the modal weight vector x = {|c_n|^2}.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._rng import stream
-from .modes import _TWO_PI, _own, _own_vector
+from .modes import _TWO_PI, _frozen_value, _own, _own_vector
 
 
-@dataclass(frozen=True)
+@_frozen_value
 class ModalSpectrum:
     """Nonnegative modal weights x_n = |c_n|^2, n = 1..N."""
 
@@ -70,7 +69,7 @@ def even_alphas(m: int) -> np.ndarray:
     return np.arange(m) * (_TWO_PI / m)
 
 
-@dataclass(frozen=True)
+@_frozen_value
 class DelaySchedule:
     """Ordered delay values alpha_j in [0, 2*pi] plus how they were generated."""
 
@@ -90,7 +89,7 @@ class DelaySchedule:
         return len(self.alphas)
 
 
-@dataclass(frozen=True)
+@_frozen_value
 class SensingMatrix:
     """M x N matrix with entries cos(n * alpha_j), n = 1..N."""
 
@@ -109,7 +108,7 @@ class SensingMatrix:
         return self.entries.shape
 
 
-@dataclass(frozen=True)
+@_frozen_value
 class MeasurementVector:
     """Baseline-subtracted interferogram samples y_j = P(alpha_j) - 1."""
 

@@ -5,9 +5,20 @@ the capture, so the line is visible in any pytest mode), then asserts.
 Budgets are wall-clock seconds on the reference container; the computations
 run far below them.
 """
+import csv
+import io
+import json
+import os
+import platform
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
+import pytest
+
+import compint
 
 from compint._rng import derive_seed, stream
 from compint.cli import main
@@ -197,18 +208,25 @@ def test_criterion_8_l1_oracle_equivalence(capfd):
            f"support match {support_ok}/{unique_count} unique instances")
 
 
+# Criterion 9's commands, each run with "--out <file>" added.
+_CRITERION_9_COMMANDS = [
+    ["simulate", "--scenario", "hg0+hg1", "--schedule", "random",
+     "--m", "30", "--noise-sigma", "0.01", "--format", "csv"],
+    ["diagnose", "--check", "eta", "--m", "30", "--n", "64", "--s", "4",
+     "--samples", "2000"],
+    ["diagnose", "--check", "isotropy", "--n", "16", "--rows", "20000",
+     "--format", "csv"],
+    ["sweep", "--n", "16", "--s-max", "2", "--m-values", "10,24",
+     "--runs", "4"],
+    ["scenario", "--name", "hg1+ihg2", "--seed", "12"],
+]
+# ... and a recovery from this simulated file.
+_CRITERION_9_SIMULATE = ["simulate", "--modes", "3=0.5,7=0.5", "--n", "16",
+                         "--schedule", "random", "--m", "12", "--format", "csv"]
+
+
 def test_criterion_9_cli_determinism(capfd, tmp_path):
-    commands = [
-        ["simulate", "--scenario", "hg0+hg1", "--schedule", "random",
-         "--m", "30", "--noise-sigma", "0.01", "--format", "csv"],
-        ["diagnose", "--check", "eta", "--m", "30", "--n", "64", "--s", "4",
-         "--samples", "2000"],
-        ["diagnose", "--check", "isotropy", "--n", "16", "--rows", "20000",
-         "--format", "csv"],
-        ["sweep", "--n", "16", "--s-max", "2", "--m-values", "10,24",
-         "--runs", "4"],
-        ["scenario", "--name", "hg1+ihg2", "--seed", "12"],
-    ]
+    commands = _CRITERION_9_COMMANDS
     identical = 0
     for argv in commands:
         a = tmp_path / "a.out"
@@ -219,8 +237,7 @@ def test_criterion_9_cli_determinism(capfd, tmp_path):
             identical += 1
 
     sim = tmp_path / "sim.csv"
-    main(["simulate", "--modes", "3=0.5,7=0.5", "--n", "16", "--schedule",
-          "random", "--m", "12", "--format", "csv", "--out", str(sim)])
+    main(_CRITERION_9_SIMULATE + ["--out", str(sim)])
     a = tmp_path / "rec_a.json"
     b = tmp_path / "rec_b.json"
     rc_a = main(["recover", str(sim), "--n", "16", "--out", str(a)])
@@ -232,3 +249,111 @@ def test_criterion_9_cli_determinism(capfd, tmp_path):
     ok = identical == total
     report(capfd, "criterion 9 (CLI determinism)", ok,
            f"{identical}/{total} command pairs byte-identical across reruns")
+
+
+# A child process that runs criterion 9's commands, each writing the file
+# named by its position in the list, in the working directory.
+_CRITERION_9_CHILD = """
+import json, sys
+from compint.cli import main
+commands = json.loads(sys.argv[1])
+print(json.dumps([main(argv + ["--out", str(k)]) for k, argv in enumerate(commands)]))
+"""
+
+
+def _blas_kernels_selectable():
+    """Why OPENBLAS_CORETYPE cannot pick numpy's BLAS kernel here, or None."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "numpy does not report its BLAS build"
+    if "openblas" not in str(blas.get("name", "")).lower():
+        return f"numpy's BLAS is {blas.get('name')}, not OpenBLAS"
+    if "DYNAMIC_ARCH" not in str(blas.get("openblas configuration", "")):
+        return "numpy's OpenBLAS is built for one kernel only (no DYNAMIC_ARCH)"
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return f"the Prescott kernel is x86-64 only, not {platform.machine()}"
+    return None
+
+
+def _run_criterion_9(workdir, coretype):
+    commands = _CRITERION_9_COMMANDS + [
+        _CRITERION_9_SIMULATE,
+        ["recover", str(len(_CRITERION_9_COMMANDS)), "--n", "16"],
+    ]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    # the child runs elsewhere, so it imports this compint by absolute path
+    source = str(Path(compint.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    workdir.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-c", _CRITERION_9_CHILD, json.dumps(commands)],
+        cwd=workdir, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes = json.loads(proc.stdout)
+    return codes, [(workdir / str(k)).read_text() for k in range(len(commands))]
+
+
+def _parsed(text):
+    """An output file as JSON, or as CSV rows with numeric cells converted."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return [[_cell(c) for c in row] for row in csv.reader(io.StringIO(text))]
+
+
+def _cell(text):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _leaves(value, path=""):
+    if isinstance(value, dict):
+        yield path, sorted(value)
+        for key in sorted(value):
+            yield from _leaves(value[key], f"{path}.{key}")
+    elif isinstance(value, list):
+        yield path, len(value)
+        for k, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{k}]")
+    else:
+        yield path, value
+
+
+def test_criterion_9_outputs_agree_across_blas_kernels(capfd, tmp_path):
+    # Bytes are the same per host and kernel, not across kernels: BLAS
+    # kernels round differently.  So the outputs are parsed and compared:
+    # every key, length, integer, string and flag must be equal, and every
+    # float within 1e-12 of max(|a|, |b|, 1).  The outputs are dimensionless
+    # and of order one (powers with P(0) = 2, unit-sum weights, eta,
+    # relative errors); a value at rounding level, such as a noiseless
+    # recovery's error near 1e-29, differs between kernels in every digit.
+    reason = _blas_kernels_selectable()
+    if reason is not None:
+        pytest.skip(reason)
+    default = _run_criterion_9(tmp_path / "default", None)
+    prescott = _run_criterion_9(tmp_path / "prescott", "Prescott")
+    assert default[0] == prescott[0] == [0] * len(default[0])
+    worst, differing = 0.0, 0
+    for a_text, b_text in zip(default[1], prescott[1]):
+        differing += a_text != b_text
+        a_leaves = list(_leaves(_parsed(a_text)))
+        b_leaves = list(_leaves(_parsed(b_text)))
+        assert [p for p, _ in a_leaves] == [p for p, _ in b_leaves]
+        for (path, a), (_, b) in zip(a_leaves, b_leaves):
+            if isinstance(a, float) and isinstance(b, float):
+                gap = abs(a - b) / max(abs(a), abs(b), 1.0)
+                assert gap <= 1e-12, (path, a, b)
+                worst = max(worst, gap)
+            else:
+                assert type(a) is type(b) and a == b, (path, a, b)
+    report(capfd, "criterion 9 across BLAS kernels", True,
+           f"{differing}/{len(default[1])} outputs differ in bytes between "
+           f"the default kernel and Prescott; discrete fields equal, worst "
+           f"float gap {worst:.2g}")

@@ -335,6 +335,12 @@ def test_delay_zero_and_full_turn_are_identity():
     np.testing.assert_array_equal(generalized_delay(field, 2.0 * np.pi).coeffs, c)
     # a tiny negative delay reduces to 0, not to the float just below 2 pi
     np.testing.assert_array_equal(generalized_delay(field, -1e-20).coeffs, c)
+    # the kernel and the field-level interferogram follow the same rule
+    grid = default_grid(basis, points=96)
+    identity = delay_kernel(basis, 0.0, grid)
+    for alpha in (2.0 * np.pi, -1e-20):
+        np.testing.assert_array_equal(delay_kernel(basis, alpha, grid), identity)
+        assert field_interferogram(field, alpha) == 2.0
 
 
 def test_delay_single_mode_phase():
@@ -449,12 +455,96 @@ def test_synthesize_matches_complex_product(kind, n):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def test_delay_phases_are_shared_and_read_only():
+    harmonics = modes._harmonics(6)
+    assert modes._harmonics(6) is harmonics
+    with pytest.raises(ValueError):
+        harmonics[0] = 0.0
+    for alpha in (0.3, 4.0, -2.5, 7.0):
+        # the expression generalized_delay and delay_kernel evaluated inline
+        expect = np.exp(1j * np.arange(1, 7) * (float(alpha) % (2.0 * np.pi)))
+        np.testing.assert_array_equal(modes._delay_phases(6, alpha), expect)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        modes._delay_phases(6, np.nan)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        delay_kernel(ModeBasis(BasisKind.HERMITE_GAUSS_1D, 2), np.inf,
+                     default_grid(ModeBasis(BasisKind.HERMITE_GAUSS_1D, 2), 16))
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_interferogram_synthesizes_the_generalized_delay(normalized, monkeypatch):
+    basis = ModeBasis(BasisKind.LAGUERRE_GAUSS_RADIAL, 8)
+    c = np.linspace(1.0, 2.0, 8) - 0.5j
+    field = ComplexModalField(basis, c / np.linalg.norm(c), normalized=normalized)
+    seen = []
+
+    def recorded(f, grid, _synthesize=modes.synthesize):
+        seen.append(f)
+        return _synthesize(f, grid)
+    monkeypatch.setattr(modes, "synthesize", recorded)
+    for alpha in (0.0, 1.3, -4.0, 2.0 * np.pi):
+        seen.clear()
+        field_interferogram(field, alpha)
+        delayed = seen[-1]
+        assert delayed == generalized_delay(field, alpha)
+        assert delayed.normalized == normalized
+        assert delayed._reference is None
+        assert not delayed.coeffs.flags.writeable
+        assert not np.shares_memory(delayed.coeffs, field.coeffs)
+
+
 def test_zero_field_rejected():
     basis = ModeBasis(BasisKind.HERMITE_GAUSS_1D, 4)
     field = ComplexModalField(basis, np.zeros(4, complex))
     for _ in range(2):   # also once the zero reference is stored
         with pytest.raises(ValueError, match="zero norm"):
             field_interferogram(field, 1.0)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-200])
+def test_underflowing_norm_rejected(scale):
+    # a nonzero field whose norm underflows to 0 cannot be normalized
+    basis = ModeBasis(BasisKind.HERMITE_GAUSS_1D, 8)
+    field = ComplexModalField(basis, np.full(8, scale, complex))
+    for alpha in (0.0, 1.0):
+        with pytest.raises(ValueError, match="underflows"):
+            field_interferogram(field, alpha)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+def test_overflowing_norm_rejected(scale):
+    # such a field used to give nan at every alpha, P(0) included; at
+    # alpha = pi one mode nearly cancels its reference, so P could be finite
+    for n in (8, 1):
+        basis = ModeBasis(BasisKind.HERMITE_GAUSS_1D, n)
+        field = ComplexModalField(basis, np.full(n, scale, complex))
+        for alpha in (0.0, 1.0, np.pi):
+            with (np.errstate(over="ignore"),
+                  pytest.raises(ValueError, match="field norm overflows")):
+                field_interferogram(field, alpha)
+
+
+def test_overflowing_interferogram_rejected():
+    # the norm is finite, but |E + ref|^2 = 4 |E|^2 at alpha = 0 is not
+    basis = ModeBasis(BasisKind.HERMITE_GAUSS_1D, 1)
+    grid = SampledGrid(np.array([0.0]), np.array([1.0]))
+    psi = mode_table(basis, grid)[0, 0]
+    field = ComplexModalField(basis, np.array([1e154 / psi]))
+    with (np.errstate(over="ignore"),
+          pytest.raises(ValueError, match="interferogram overflows")):
+        field_interferogram(field, 0.0, grid)
+    _, _, base = field._reference
+    assert np.isfinite(base)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_large_and_small_norms_still_evaluate(scale):
+    basis = ModeBasis(BasisKind.HERMITE_GAUSS_1D, 8)
+    c = np.linspace(1.0, 2.0, 8) + 0.25j
+    field = ComplexModalField(basis, scale * c)
+    unit = ComplexModalField(basis, c)
+    assert field_interferogram(field, 0.0) == 2.0
+    assert abs(field_interferogram(field, 1.0) - field_interferogram(unit, 1.0)) < 1e-12
 
 
 @pytest.mark.parametrize("kind", list(BasisKind))

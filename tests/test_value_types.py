@@ -1,5 +1,5 @@
-"""Every frozen value type owns read-only copies of its array fields and
-rejects bad values with a fixed message."""
+"""Every frozen value type owns read-only copies of its array fields,
+rejects bad values with a fixed message and compares by value."""
 import re
 
 import numpy as np
@@ -7,7 +7,8 @@ import pytest
 
 from compint.diagnostics import EtaEnsembleReport, IsotropyReport
 from compint.experiments import SweepResult
-from compint.modes import BasisKind, ComplexModalField, ModeBasis, SampledGrid
+from compint.modes import (BasisKind, ComplexModalField, ModeBasis, SampledGrid,
+                           field_interferogram, mode_table)
 from compint.recovery import Method, RecoveryResult
 from compint.sensing import (DelaySchedule, MeasurementVector, ModalSpectrum,
                              ScheduleKind, SensingMatrix)
@@ -151,3 +152,57 @@ _MESSAGE_PARAMS = [
 def test_constructor_error_messages(cls, kwargs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cls(**kwargs)
+
+
+# (type, fields to change): each replaces one field of the _CASES instance by
+# a valid value that differs from it.
+_DIFFERENT = {
+    SampledGrid: [{"points": [0.0, 2.0]}, {"weights": [0.5, 0.25]}],
+    ComplexModalField: [{"coeffs": [1.0, 0.25j]},
+                        {"basis": ModeBasis(BasisKind.LAGUERRE_GAUSS_RADIAL, 2)}],
+    ModalSpectrum: [{"weights": [0.75, 0.25]}, {"weights": [0.25, 0.75, 0.0]}],
+    DelaySchedule: [{"alphas": [0.0, 2.0]}, {"kind": ScheduleKind.UNIFORM_RANDOM}],
+    SensingMatrix: [{"entries": [[1.0, 1.0], [0.5, -0.5]]}, {
+        "entries": [[1.0, 1.0], [0.5, -0.4], [0.0, 0.0]],
+        "schedule": DelaySchedule(np.array([0.0, 1.0, 2.0]), ScheduleKind.EXTERNAL)}],
+    MeasurementVector: [{"values": [0.1, -0.3]}, {"noise_sigma": 0.01}],
+    RecoveryResult: [{"raw": [0.0, 1.5]},
+                     {"spectrum": ModalSpectrum([0.5, 0.5])}, {"converged": False}],
+    SweepResult: [{"mean_error": [0.1, 0.02]}, {"m_values": np.array([5, 11])},
+                  {"threshold": 0.1}],
+    EtaEnsembleReport: [{"counts": np.array([2, 0])}, {"mean_eta": 0.25}],
+    IsotropyReport: [{"estimate": [[0.5, 0.1], [0.1, 0.5]]}, {"rows_sampled": 2}],
+}
+
+
+def _build(cls, arrays, others, **changes):
+    return cls(**{**{name: np.array(v) for name, v in arrays.items()}, **others,
+                  **changes})
+
+
+@pytest.mark.parametrize("cls, arrays, others", _CASES,
+                         ids=[case[0].__name__ for case in _CASES])
+def test_equality_compares_values(cls, arrays, others):
+    obj = _build(cls, arrays, others)
+    twin = _build(cls, arrays, others)   # equal values in fresh arrays
+    assert obj == twin and not obj != twin
+    assert obj == obj
+    for changes in _DIFFERENT[cls]:
+        other = _build(cls, arrays, others, **changes)
+        assert obj != other and not obj == other
+    for foreign in (object(), None, 1.0, "x", ModeBasis(BasisKind.HERMITE_GAUSS_1D, 2)):
+        assert not obj == foreign and obj != foreign
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(obj)
+
+
+def test_equality_ignores_stored_tables_and_references():
+    basis = ModeBasis(BasisKind.HERMITE_GAUSS_1D, 2)
+    grid = SampledGrid(np.linspace(-8.0, 8.0, 64), np.full(64, 16.0 / 63))
+    twin = SampledGrid(grid.points, grid.weights)
+    field = ComplexModalField(basis, [0.6, 0.8j])
+    mode_table(basis, grid)
+    field_interferogram(field, 1.0, grid)
+    assert grid._tables and field._reference is not None
+    assert grid == twin
+    assert field == ComplexModalField(basis, [0.6, 0.8j])
