@@ -329,10 +329,7 @@ _SCHEMAS = {
         "epsilon": _Param(_default(BPOptions, "residual_epsilon"), _NONNEGATIVE,
                           "BP residual radius"),
         "max_iters": _Param(_default(BPOptions, "max_iters"), _COUNT,
-                            "cap on BP solver steps, which iterations counts: "
-                            "one linear solve per homotopy step, two per "
-                            "exact step, and up to four more at one whose "
-                            "fit matches the data"),
+                            "cap on BP solver steps"),
         "nonnegative": _Param(_default(BPOptions, "nonnegative"), _bool,
                               "restrict BP to nonnegative weights"),
         "zero_threshold": _Param(_default(BPOptions, "zero_threshold"),

@@ -21,9 +21,9 @@ from .sensing import (DelaySchedule, MeasurementVector, ModalSpectrum,
 # (EVEN_GRID ones exactly; the slack covers files printed with >= 15 digits).
 _EVEN_GRID_TOL = 1e-9
 
-# Relative tolerance of the Basis Pursuit solvers: the residual gate and the
-# duality gap of exact solves, their pivot tolerance, and the KKT test of the
-# homotopy and the floor of its lam, relative to lam's start.
+# Relative tolerance of the Basis Pursuit walk: the residual gate and the
+# duality gaps, the rate floor of the ratio test, and the floor of lam,
+# relative to lam's start.
 TOL = 1e-8
 
 
@@ -43,16 +43,19 @@ class BPOptions:
     residual_epsilon is the data-fidelity radius ||Phi x - y||_2 <= eps.
     Up to abs_tol, the feasibility tolerance of every solve, the program is
     the equality-constrained one, a linear program; the default 1e-9 selects
-    it.  Such a solve climbs the dual of the linear program along the l1
-    path and, once its active set is a basis, pivots as the dual simplex
-    method does; it returns the first refit that a duality certificate
-    proves optimal.  Noisy data need a radius matched to the noise, which
-    the l1 homotopy solves exactly.  max_iters caps the steps of either
-    solver; most solves stop well before it.  A homotopy step is one linear
-    solve.  An exact step is two, a two-right-hand-side solve and its
-    refinement; one whose fit matches the data adds up to four: the refit's
-    two, the certificate's one and, if the solve goes on, one for the next
-    direction.
+    it.  Noisy data need a radius matched to the noise.  Both are solved by
+    one walk along the l1 path (`_walk`), and max_iters caps its steps; most
+    solves stop well before it.
+
+    A step is one pass of that walk on its active set S: one linear solve
+    with the Gram matrix of S and three right-hand sides, one that refines
+    the least-squares fit, and one ratio test.  A step whose fit matches
+    the data (epsilon <= abs_tol) adds up to four: the refit's two (four if
+    the refit must keep entries below 1e-9 of the largest), the
+    certificate's one and, if the solve goes on, one for the pivot's
+    direction.  A step whose fit is within a larger epsilon adds one that
+    refines d = G^-1 s.
+
     Set nonnegative to restrict the search to x >= 0.  Entries of the
     solution smaller in magnitude than zero_threshold are snapped to 0 in the
     reported spectrum (the raw solution is kept alongside).
@@ -82,11 +85,8 @@ class RecoveryResult:
     `spectrum` is the reporting view: zero-snapped at the configured threshold
     and clipped at 0 (weights are physically nonnegative).  `raw` is the
     untouched solver output, which failed or noisy recoveries may leave signed;
-    error metrics should use it.  `iterations` is 0 for harmonic inversion.
-    For Basis Pursuit it counts the solver's steps: those of the exact
-    solver up to the one whose refit was certified, or at epsilon > abs_tol
-    the homotopy path steps.  `BPOptions` says how many linear solves a step
-    makes.
+    error metrics should use it.  `iterations` is 0 for harmonic inversion
+    and counts the steps of Basis Pursuit, as `BPOptions` defines them.
     """
 
     spectrum: ModalSpectrum
@@ -172,10 +172,8 @@ def basis_pursuit(phi: SensingMatrix, y: MeasurementVector,
 
     With residual_epsilon <= abs_tol the epsilon-ball is smaller than the
     solver's own feasibility tolerance, so the program is the equality
-    constrained one, a linear program solved exactly by `_exact_bp`, an
-    ascent along the l1 path with a dual simplex end game.  Larger radii are
-    solved by the l1 homotopy (`_homotopy`).  `iterations` counts either
-    solver's steps, and max_iters caps them.
+    constrained one, a linear program.  Every radius is solved by `_walk`,
+    whose steps `iterations` counts (`BPOptions` says what a step is).
 
     A converged result always satisfies ||Phi z - y||_2 <= epsilon + abs_tol.
     Non-convergence (infeasible data, a singular system, or the iteration
@@ -188,8 +186,7 @@ def basis_pursuit(phi: SensingMatrix, y: MeasurementVector,
         raise ValueError(f"measurement length {len(y)} != matrix rows {m}")
     yv = y.values
     eps = opts.residual_epsilon
-    solve = _exact_bp if eps <= opts.abs_tol else _homotopy
-    z, iterations, converged = solve(a, yv, opts)
+    z, iterations, converged = _walk(a, yv, opts)
     residual = _norm(a @ z - yv)
     return RecoveryResult(
         spectrum=_reported_spectrum(z, opts.zero_threshold),
@@ -201,61 +198,63 @@ def basis_pursuit(phi: SensingMatrix, y: MeasurementVector,
     )
 
 
-def _exact_bp(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
-    """Noiseless Basis Pursuit as a linear program: (z, steps, optimal).
+def _walk(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
+    """Basis Pursuit along the l1 path: (z, steps, converged).
 
-    The program is min ||z||_1 s.t. Phi z = y (z >= 0 too with
-    `nonnegative`).  One loop solves its dual, max y^T nu s.t.
-    ||Phi^T nu||_inf <= 1 (Phi^T nu <= 1), the parametric-simplex view of the
-    Lasso path (Osborne, Presnell & Turlach 2000; Pang, Liu, Vanderbei & Zhao
-    2017).  It keeps a dual-feasible nu and a set S of columns tight at it,
-    with signs s and Phi_S^T nu = s.  Each step solves with G = Phi_S^T Phi_S
-    for the least-squares fit of y on S (refined once, as in `_refit`) and
-    for the shift that puts nu back on Phi_S^T nu = s (one solve with two
-    right-hand sides), then moves nu along a direction delta until a free
-    column reaches its bound and joins S.  That ratio test makes one pass
-    over both sides of every bound (`_join_ratios`); in it, rates below
-    TOL ||phi_j|| ||delta|| count as 0, and gaps that rounding left below 0
-    as 0.
+    The Lasso path x(lam) = argmin ||Phi x - y||^2 / 2 + lam ||x||_1 (the
+    positive Lasso with `nonnegative`) runs from lam = max |Phi^T y| down to
+    the exact program at lam -> 0+ (Osborne, Presnell & Turlach 2000; Pang,
+    Liu, Vanderbei & Zhao 2017).  The walk follows its dual point
+    nu = (y - Phi x) / lam in tau = 1 / lam, keeping nu feasible,
+    |Phi^T nu| <= 1 (Phi^T nu <= 1 with `nonnegative`), and a set S of
+    columns tight at it with signs s.  A step solves with G = Phi_S^T Phi_S
+    for the fit of y on S (refined once, as in `_refit`), the shift that
+    puts nu back on Phi_S^T nu = s, and d = G^-1 s; on S the path is
+    x(tau) = fit - d / tau.  nu then moves along the fit's residual r_S
+    until a free column reaches its bound and joins S with the sign of that
+    side: one ratio test over both sides of every bound (`_join_ratios`).
+    On incoherent data this reaches an s-sparse solution in about s steps
+    (Donoho & Tsaig 2008).
 
-    - Ascent.  S starts as the column of largest |Phi^T y| (Phi^T y with
-      `nonnegative`), and nu as y over that correlation.  While y is not fit
-      on S, delta is the fit's residual: the dual ray of the Lasso path,
-      which reaches an s-sparse solution in about s steps on incoherent data
-      (Donoho & Tsaig 2008).  Once y is fit but a sign disagrees, delta is
-      the part off span(Phi_S) of the free column nearest its bound.
-    - Dual simplex.  S is a basis once it holds min(M, N) columns, or no free
-      column has a part off span(Phi_S) above TOL times its norm.  Then the
-      entry of largest sign violation leaves, delta = -s_i Phi_S G^-1 e_i,
-      and the column that the ratio test picks enters; in the signed program
-      that may be the leaving column with its sign flipped.
+    - epsilon > abs_tol.  An entry whose fit has the wrong sign leaves where
+      x(tau) reaches 0.  The walk stops on the segment where ||r|| reaches
+      epsilon, lam^2 ||Phi_S d||^2 = epsilon^2 - ||r_S||^2 with d refined
+      once, and is converged where nu = r / ||Phi^T r||_inf (r / max Phi^T r
+      with `nonnegative`) closes the weak-duality gap: ||x||_1 within
+      TOL ||x||_1 of y^T nu - epsilon ||nu||.  Short of epsilon it ends
+      unconverged where lam falls below TOL times its start, or where
+      rounding has put an entry's 0 more than TOL tau behind the walk, which
+      has then lost the path.
+    - epsilon <= abs_tol.  S only grows, as nu's ascent needs, until r_S is
+      within min(epsilon + abs_tol, TOL max |y|), a bound relative to the
+      data.  There the entries of S that keep their sign are refit
+      (`_refit`), leaving out those below 1e-9 of the largest unless the
+      refit then misses y, and the refit is returned once nu certifies it
+      (`_certified`); both use the step's columns and Gram matrix.
+      Otherwise the entry of largest sign violation leaves, nu moves along
+      -s_i Phi_S G^-1 e_i, and the ratio test picks the column that joins:
+      a dual simplex pivot, in which the column that left may come back
+      with its sign flipped.
 
-    Where the fit's residual is within min(epsilon + abs_tol, TOL max |y|),
-    a bound relative to the data so that it means the same at every scale,
-    the entries of S that keep their sign (and are not below 1e-9 of the
-    largest) are refit (`_refit`), and the refit is returned once nu
-    certifies it (`_certified`).  Both take the step's columns and Gram
-    matrix, which they use where their support is S and build afresh
-    elsewhere.  The refit still makes its own solves rather than reuse the
-    step's fit, so that it equals `_refit` on that support from any other
-    caller.  Data inside the epsilon-ball around 0 give
-    z = 0 at step 1.  The solve ends unconverged where the data are
-    infeasible (y is not fit on a basis, or no column can join while it is
-    not fit), where a basis keeps every sign but its refit is not
-    certified, or after max_iters steps, with z the last fit on S (clipped
-    at 0 under `nonnegative`); and where G is singular, with z = 0.
+    Data inside the epsilon-ball around 0 give z = 0 at step 1.  The walk
+    ends unconverged where the data are infeasible (y is not fit on a basis
+    of min(M, N) columns, or no column can join or leave), where a fit that
+    keeps every sign is not certified, or after max_iters steps, with z the
+    last fit on S (clipped at 0 under `nonnegative`); and where G is
+    singular, with z = 0.
     """
     m, n = a.shape
-    # The loop runs on y divided by a power of two near max |y|, which is
+    eps, nonnegative = opts.residual_epsilon, opts.nonnegative
+    # The walk runs on y divided by a power of two near max |y|, which is
     # exact: its norms then neither overflow nor underflow.  So max |y| is
     # ymax / unit after it, and ||y|| is unit ||y / unit||, as `_norm` has it.
     ymax = float(np.abs(yv).max())
     unit = math.ldexp(1.0, math.frexp(ymax)[1])
     yv = yv / unit
-    if unit * _length(yv) <= opts.residual_epsilon:
+    if unit * _length(yv) <= eps:
         return np.zeros(n), 1, True
-    gate = min((opts.residual_epsilon + opts.abs_tol) / unit, TOL * (ymax / unit))
-    nonnegative = opts.nonnegative
+    exact = eps <= opts.abs_tol
+    goal = min(eps + opts.abs_tol, TOL * ymax) / unit if exact else eps / unit
     pivot_tol = TOL * np.linalg.norm(a, axis=0)
     c = a.T @ yv
     j = int(np.argmax(c if nonnegative else np.abs(c)))
@@ -264,13 +263,14 @@ def _exact_bp(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
         return np.zeros(n), 1, False
     signs = np.zeros(n)
     signs[j] = np.copysign(1.0, c[j])
-    nu = yv / top
+    nu, tau = yv / top, 1.0 / top
     for step in range(1, opts.max_iters + 1):
         on = signs != 0
         cols, s = a[:, on], signs[on]
         gram = cols.T @ cols
         try:
-            fit, shift = np.linalg.solve(gram, np.array((cols.T @ yv, s - cols.T @ nu)).T).T
+            fit, shift, d = np.linalg.solve(
+                gram, np.array((cols.T @ yv, s - cols.T @ nu, s)).T).T
             fit += np.linalg.solve(gram, cols.T @ (yv - cols @ fit))
         except np.linalg.LinAlgError:
             return np.zeros(n), step, False
@@ -279,48 +279,67 @@ def _exact_bp(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
         nu += cols @ shift
         r = yv - cols @ fit
         length = _length(r)
-        exact = length <= gate
-        if exact:
-            big = np.abs(fit) >= 1e-9 * np.abs(fit).max()
-            keep = on.copy()
-            keep[on] = big & (fit * s > 0)
+        fits = length <= goal
+        if fits and exact:
+            keep, right = on.copy(), fit * s > 0
             active = (on, cols, gram)
-            z = _refit(a, yv, keep, active)
-            if (z is not None and _length(a @ z - yv) <= gate
-                    and _certified(a, yv, z, nu, nonnegative, active)):
+            for kept in (np.abs(fit) >= 1e-9 * np.abs(fit).max(), True):
+                keep[on] = kept & right
+                z = _refit(a, yv, keep, active)
+                fitted = z is not None and _length(a @ z - yv) <= goal
+                if fitted or np.array_equal(keep[on], right):
+                    break
+            if fitted and _certified(a, yv, z, nu, nonnegative, active):
                 return z * unit, step, True
-        c = a.T @ nu
-        basis = len(s) == min(m, n)
-        if exact and not basis:
-            off = a - cols @ np.linalg.solve(gram, cols.T @ a)
-            room = ~on & (np.linalg.norm(off, axis=0) > pivot_tol)
-            basis = not room.any()
-        if not exact:
-            if basis:
+            if not (kept & (fit * s < 0)).any():
                 break
-            delta = r
-        elif not basis:
-            j = int(np.argmax(np.where(room, c if nonnegative else np.abs(c), -np.inf)))
-            delta = off[:, j] if nonnegative else np.copysign(1.0, c[j]) * off[:, j]
-        elif (big & (fit * s < 0)).any():
-            k = int(np.argmin(fit * s))
+            i = int(np.argmin(fit * s))
             e = np.zeros(len(s))
-            e[k] = -s[k]
+            e[i] = -s[i]
             delta = cols @ np.linalg.solve(gram, e)
-            signs[np.flatnonzero(on)[k]] = 0.0
-        else:
-            break
-        if delta is not r:  # r's length is known
             length = _length(delta)
-        v = a.T @ delta
+            signs[np.flatnonzero(on)[i]] = 0.0
+        elif not fits and len(s) == min(m, n):
+            break
+        else:
+            delta = r
+        c, v = np.array((nu, delta)) @ a
         join = _join_ratios(c, v, pivot_tol * length, nonnegative)
         join[signs != 0] = np.inf
         j = int(join.argmin())
-        t = join[j]
+        t, k = join[j], None
+        if not exact:
+            if tau * top * TOL >= 1.0:
+                break
+            leave = np.full(len(s), np.inf)
+            wrong = fit * s < 0
+            leave[wrong] = d[wrong] / fit[wrong] - tau
+            if leave.min() < -TOL * tau:
+                break
+            if leave.min() <= t:
+                k = int(leave.argmin())
+                t = max(leave[k], 0.0)
+            if fits:
+                d += np.linalg.solve(gram, s - cols.T @ (cols @ d))
+                u = cols @ d
+                lam = math.sqrt((goal * goal - length * length) / (u @ u))
+                if lam * (tau + t) >= 1.0:
+                    x = np.zeros(n)
+                    x[on] = fit - lam * d
+                    r = yv - a @ x
+                    c = a.T @ r
+                    nu = r / (c.max() if nonnegative else np.abs(c).max())
+                    l1 = np.abs(x).sum()
+                    gap = l1 - (yv @ nu - goal * _length(nu))
+                    return x * unit, step, bool(gap <= TOL * l1)
         if t == np.inf:
             break
         nu += t * delta
-        signs[j] = 1.0 if v[j] > 0 else -1.0
+        tau += t
+        if k is None:
+            signs[j] = 1.0 if v[j] > 0 else -1.0
+        else:
+            signs[np.flatnonzero(on)[k]] = 0.0
     z = np.zeros(n)
     z[on] = unit * (np.maximum(fit, 0.0) if nonnegative else fit)
     return z, step, False
@@ -337,10 +356,13 @@ def _join_ratios(c: np.ndarray, v: np.ndarray, floor: np.ndarray,
     gap / rate where the rate is above `floor` and inf elsewhere, with a gap
     that rounding left below 0 read as 0; the column that joins takes the
     sign sign(v_j) of the side it reaches.  For finite c this is, to the
-    bit, the minimum of `_ratios(1 - c, v)` and `_ratios(1 + c, -v)` once
-    the entries of v with |v| <= floor are set to 0: the two sides are
+    bit, the smaller of the two one-sided ratios (1 - c_j) / v_j and
+    (1 + c_j) / -v_j once the entries of v with |v| <= floor are set to 0
+    (a ratio whose rate is not above 0 is inf): the two sides are
     finite on the disjoint sets v > 0 and v < 0, and 1 - (-1) c is 1 + c
-    exactly.
+    exactly.  Rates at or below TOL ||phi_j|| ||delta|| are rounding: a
+    column that has just left S has a rate that points away from its old
+    bound, so it cannot rejoin at once with its old sign.
     """
     if nonnegative:
         gap, rate = 1.0 - c, v
@@ -371,7 +393,7 @@ def _certified(a: np.ndarray, yv: np.ndarray, z: np.ndarray, nu: np.ndarray,
     max(1, max Phi^T nu)) bounds the l1 norm of every solution of Phi x = y
     from below, for any nu.  The projection makes the dual point exact where
     z is nonzero, so the gap closes once nu is near the optimal dual; it
-    fails where the Gram matrix of S is singular.  A step of `_exact_bp`
+    fails where the Gram matrix of S is singular.  A step of `_walk`
     passes its (active set, columns, Gram matrix) as `active`, which is
     used where S is that active set (`_columns`).
     """
@@ -394,7 +416,7 @@ def _refit(a: np.ndarray, yv: np.ndarray, support: np.ndarray, active=None):
 
     It solves the normal equations of the columns and refines the solution
     once against the residual, which recovers the accuracy that squaring
-    their condition number loses.  A step of `_exact_bp` passes its (active
+    their condition number loses.  A step of `_walk` passes its (active
     set, columns, Gram matrix) as `active`, which is used where `support` is
     that active set (`_columns`).
     """
@@ -409,98 +431,6 @@ def _refit(a: np.ndarray, yv: np.ndarray, support: np.ndarray, active=None):
     z = np.zeros(a.shape[1])
     z[support] = fit
     return z
-
-
-def _homotopy(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
-    """Basis Pursuit for epsilon > abs_tol by the l1 homotopy: (z, steps, converged).
-
-    Walks the Lasso path x(lam) = argmin ||Phi x - y||^2 / 2 + lam ||x||_1
-    (the positive Lasso with `nonnegative`; Osborne, Presnell & Turlach
-    2000; Efron et al. 2004, section 3.4) down from lam = max |Phi^T y|.  On
-    a segment x = G^-1 Phi_S^T y - lam d on the active set S, for the path
-    signs s, G = Phi_S^T Phi_S and d = G^-1 s.  A step solves for d and
-    finds where the segment ends (an entry joins or leaves S, or lam reaches
-    0) and where ||y - Phi x|| reaches epsilon, refined by one Newton step;
-    it stops at the latter if that comes first, else it steps to the end
-    and updates S and s.  Entries that tie join one segment apart, the
-    second after a fall of 0: a join whose gap rounding left below 0 counts
-    as one at 0.  An entry that has just left S may not rejoin with its old
-    sign at once, which rounding would allow.  Short of epsilon the walk
-    ends, unconverged, after max_iters steps, where G is singular, or where
-    lam falls below TOL times its start: there rounding in Phi^T r is no
-    longer small beside lam, and the program counts as infeasible.  Data
-    inside the epsilon-ball around 0 give z = 0 in 0 steps.  `converged` is
-    the KKT certificate, for r = y - Phi x: |Phi^T r| <= lam (1 + TOL),
-    |Phi^T r - lam sign(x)| <= lam TOL on the support of x, and
-    | ||r|| - epsilon | <= abs_tol.
-    """
-    n, eps, nonnegative = a.shape[1], opts.residual_epsilon, opts.nonnegative
-    x = np.zeros(n)
-    if _norm(yv) <= eps:
-        return x, 0, True
-    signs = np.zeros(n)
-    c = a.T @ yv
-    j = int(np.argmax(c if nonnegative else np.abs(c)))
-    lam = float(c[j] if nonnegative else abs(c[j]))
-    signs[j] = np.copysign(1.0, c[j])
-    floor, left, steps, reached = TOL * lam, None, 0, False
-    while steps < opts.max_iters and lam > floor:
-        on = signs != 0
-        cols = a[:, on]
-        try:
-            d = np.linalg.solve(cols.T @ cols, signs[on])
-        except np.linalg.LinAlgError:
-            break
-        q = signs[on] @ d
-        if not 0 < q < np.inf:  # s^T G^-1 s > 0 unless G is singular
-            break
-        r, u = yv - cols @ x[on], cols @ d
-        c, v = a.T @ r, a.T @ u
-        # The falls in lam at which an entry off S joins it with sign +1 (up)
-        # or -1 (down), or one on S reaches 0.
-        up, down = _ratios(lam - c, 1.0 - v), _ratios(lam + c, 1.0 + v)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            leave = np.full(n, np.inf)
-            fall = -x[on] / d
-            leave[on] = np.where(fall > 0, fall, np.inf)
-        if left is not None:
-            (up if left[1] > 0 else down)[left[0]] = np.inf
-        join = up if nonnegative else np.minimum(up, down)
-        join[on] = np.inf
-        j, k = int(np.argmin(join)), int(np.argmin(leave))
-        t = min(join[j], leave[k], lam)
-        steps += 1
-        # ||r||^2 falls by (lam^2 - (lam - t)^2) q over a fall of t.
-        rest = lam * lam - max(r @ r - eps * eps, 0.0) / q
-        stop = lam - math.sqrt(rest) if rest >= 0 else np.inf
-        if stop <= t:
-            rt = r - stop * u
-            if rt @ u > 0:  # Newton: rest loses digits where ||r|| >> eps
-                stop = min(t, stop + (rt @ rt - eps * eps) / (2 * rt @ u))
-            x[on] += stop * d
-            lam, reached = lam - stop, True
-            break
-        x[on] += t * d
-        lam -= t
-        left = None
-        if t == leave[k]:
-            x[k], left, signs[k] = 0.0, (k, signs[k]), 0.0
-        elif t == join[j]:
-            signs[j] = np.copysign(1.0, c[j] - t * v[j])
-    r = yv - a @ x
-    c, on = a.T @ r, x != 0
-    top = c.max() if nonnegative else np.abs(c).max()
-    return x, steps, bool(reached and abs(_norm(r) - eps) <= opts.abs_tol
-                          and top <= lam * (1.0 + TOL)
-                          and np.all(np.abs(c[on] - lam * np.sign(x[on])) <= lam * TOL))
-
-
-def _ratios(gap: np.ndarray, rate: np.ndarray) -> np.ndarray:
-    """gap / rate where rate > 0 and inf elsewhere, with each gap that rounding
-    left below 0 read as 0: how far each entry moves before it reaches its
-    bound."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(rate > 0, np.maximum(gap, 0.0) / rate, np.inf)
 
 
 def reconstruction_error(reference, estimate) -> float:

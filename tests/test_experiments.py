@@ -204,7 +204,7 @@ def _recorded_sweep(monkeypatch, *args, **kwargs):
         return error_vs_m_sweep(*args, **kwargs), solves
 
 
-def test_sweep_path_route_matches_lp_route(monkeypatch):
+def test_sweep_path_route_matches_highs(monkeypatch):
     # Criterion 6's sweep with 20 runs: the solves of the exact solver and
     # those of HiGHS, the linear program's solver, have the same verdicts,
     # and converged raw outputs within 1e-12 relative l1.

@@ -14,8 +14,7 @@ from compint.diagnostics import _eta_block, eta
 from compint.modes import (BasisKind, ComplexModalField, ModeBasis,
                            default_grid, field_interferogram, mode_table,
                            synthesize)
-from compint.recovery import (BPOptions, _join_ratios, _ratios, basis_pursuit,
-                              ft_recover)
+from compint.recovery import BPOptions, _join_ratios, basis_pursuit, ft_recover
 from compint.sensing import (DelaySchedule, MeasurementVector, ModalSpectrum,
                              ScheduleKind, analytic_interferogram,
                              nyquist_schedule, random_schedule,
@@ -206,18 +205,23 @@ def _ratio_tests(draw):
     return c, v, floor, draw(st.booleans())
 
 
+def _one_sided(gap, rate):
+    """gap / rate, a gap below 0 read as 0, where rate > 0; inf elsewhere."""
+    return max(gap, 0.0) / rate if rate > 0 else np.inf
+
+
 @settings(_PROPERTY, max_examples=300)
 @given(_ratio_tests())
 def test_join_ratios_match_two_sided_ratio_test(problem):
-    # The one-pass ratio test equals, to the bit, the minimum of the two
-    # one-sided ones after rates at or below the floor are set to 0; the
-    # entering column is the same, ties included; and sign(v_j) is the side
-    # whose ratio it is.
+    # The one-pass ratio test equals, to the bit, the smaller of the two
+    # one-sided ones, taken entry by entry after rates at or below the floor
+    # are set to 0; the entering column is the same, ties included; and
+    # sign(v_j) is the side whose ratio it is.
     c, v, floor, nonnegative = problem
-    clipped = v.copy()
-    clipped[np.abs(clipped) <= floor] = 0.0
-    up = _ratios(1.0 - c, clipped)
-    expected = up if nonnegative else np.minimum(up, _ratios(1.0 + c, -clipped))
+    clipped = [0.0 if abs(rate) <= bound else rate for rate, bound in zip(v, floor)]
+    up = np.array([_one_sided(1.0 - cj, vj) for cj, vj in zip(c, clipped)])
+    down = np.array([_one_sided(1.0 + cj, -vj) for cj, vj in zip(c, clipped)])
+    expected = up if nonnegative else np.minimum(up, down)
     join = _join_ratios(c, v.copy(), floor, nonnegative)
     assert join.tobytes() == expected.tobytes()
     assert np.argmin(join) == np.argmin(expected)

@@ -183,9 +183,8 @@ def _noisy_problems():
 def test_homotopy_entry_that_left_does_not_rejoin_at_once():
     # At M = 3 entry 21 leaves the support at step 3, and the walk has to go
     # on past that leave: it reaches the eps-ball in 5 steps, converged, at
-    # l1 0.789790.  This pins a path through a leave, not the rejoin ban:
-    # entry 21 is not the next to join (entry 51 is), so the walk takes the
-    # same 5 steps to the same l1 with the ban disabled.
+    # l1 0.789790.  No rule bars the entry that left: its rate in the ratio
+    # test points away from its old bound, and entry 51 joins next.
     rng = np.random.default_rng(11059)
     n = 64
     m = int(rng.integers(3, 61))
@@ -464,6 +463,24 @@ def test_exact_bp_stops_when_mu_stalls():
     assert np.all(np.isfinite(res.raw))
 
 
+def test_exact_bp_keeps_small_entries_that_fit_the_data():
+    # Data at scale 1e6 with noise of 1e-4: the exact fit's noise entries
+    # are below 1e-9 of its largest entry, and a refit without them misses y
+    # by about 1e-4, far above epsilon + abs_tol.  The refit keeps them, and
+    # each solve converges to the l1 of the optimum that HiGHS finds.
+    phi = sensing_matrix(random_schedule(10, seed=3), 16)
+    a = phi.entries
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        x = np.zeros(16)
+        x[rng.choice(16, 2, replace=False)] = rng.uniform(0.1, 1.0, 2)
+        y = 1e6 * (a @ x) + 1e-4 * rng.standard_normal(10)
+        ref, _ = highs_bp(a, y)
+        res = basis_pursuit(phi, MeasurementVector(y))
+        assert ref is not None and res.converged
+        assert abs(np.abs(res.raw).sum() - np.abs(ref).sum()) <= 2e-9 * np.abs(ref).sum()
+
+
 def test_exact_bp_is_scale_free():
     # the data are divided by a power of two near max |y| before the solve,
     # so the solution scales with y; the absolute residual test fails only
@@ -589,7 +606,7 @@ def test_exact_bp_early_stop_matches_full_solve():
     assert 0 < converged < len(problems)
 
 
-def test_path_route_matches_lp_route():
+def test_path_route_matches_highs():
     # The ascent, on the dual ray of the l1 path, certifies most exact
     # solves with one step per entry of their support, before any dual
     # simplex pivot.  Each of those has the raw of HiGHS, the linear
