@@ -423,7 +423,7 @@ def _check_recover(params, explicit):
 
 
 def _check_diagnose(params, explicit):
-    if params["s"] > params["n"]:
+    if params["check"] == "eta" and params["s"] > params["n"]:
         raise ConfigError(
             f"key 's': sparsity {params['s']} exceeds n={params['n']}")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,11 +42,12 @@ class BPOptions:
     """Basis Pursuit solver configuration.
 
     residual_epsilon is the data-fidelity radius ||Phi x - y||_2 <= eps.
-    Up to abs_tol, the feasibility tolerance of every solve, the program is
-    the equality-constrained one, a linear program; the default 1e-9 selects
-    it.  Noisy data need a radius matched to the noise.  Both are solved by
-    one walk along the l1 path (`_walk`), and max_iters caps its steps; most
-    solves stop well before it.
+    Up to abs_tol, the feasibility tolerance of every solve (a constant of
+    the solver, not an option), the program is the equality-constrained
+    one, a linear program; the default 1e-9 selects it.  Noisy data need a
+    radius matched to the noise.  Both are solved by one walk along the l1
+    path (`_walk`), and max_iters caps its steps; most solves stop well
+    before it.
 
     A step is one pass of that walk on its active set S: one linear solve
     with the Gram matrix of S and three right-hand sides, one that refines
@@ -54,7 +56,8 @@ class BPOptions:
     the refit must keep entries below 1e-9 of the largest), the
     certificate's one and, if the solve goes on, one for the pivot's
     direction.  A step whose fit is within a larger epsilon adds one that
-    refines d = G^-1 s.
+    refines d = G^-1 s, and the step that reaches epsilon adds the
+    certificate's one as well.
 
     Set nonnegative to restrict the search to x >= 0.  Entries of the
     solution smaller in magnitude than zero_threshold are snapped to 0 in the
@@ -62,7 +65,7 @@ class BPOptions:
     """
 
     residual_epsilon: float = 1e-9
-    abs_tol: float = 1e-8
+    abs_tol: ClassVar[float] = 1e-8
     max_iters: int = 50000
     nonnegative: bool = False
     zero_threshold: float = 1e-6
@@ -70,8 +73,6 @@ class BPOptions:
     def __post_init__(self):
         if self.residual_epsilon < 0:
             raise ValueError("residual_epsilon must be >= 0")
-        if self.abs_tol <= 0:
-            raise ValueError("abs_tol must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.zero_threshold < 0:
@@ -219,9 +220,8 @@ def _walk(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
     - epsilon > abs_tol.  An entry whose fit has the wrong sign leaves where
       x(tau) reaches 0.  The walk stops on the segment where ||r|| reaches
       epsilon, lam^2 ||Phi_S d||^2 = epsilon^2 - ||r_S||^2 with d refined
-      once, and is converged where nu = r / ||Phi^T r||_inf (r / max Phi^T r
-      with `nonnegative`) closes the weak-duality gap: ||x||_1 within
-      TOL ||x||_1 of y^T nu - epsilon ||nu||.  Short of epsilon it ends
+      once, and is converged where nu = r / lam certifies x there
+      (`_certified` with epsilon).  Short of epsilon it ends
       unconverged where lam falls below TOL times its start, or where
       rounding has put an entry's 0 more than TOL tau behind the walk, which
       has then lost the path.
@@ -230,7 +230,7 @@ def _walk(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
       data.  There the entries of S that keep their sign are refit
       (`_refit`), leaving out those below 1e-9 of the largest unless the
       refit then misses y, and the refit is returned once nu certifies it
-      (`_certified`); both use the step's columns and Gram matrix.
+      (`_certified`).
       Otherwise the entry of largest sign violation leaves, nu moves along
       -s_i Phi_S G^-1 e_i, and the ratio test picks the column that joins:
       a dual simplex pivot, in which the column that left may come back
@@ -282,14 +282,13 @@ def _walk(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
         fits = length <= goal
         if fits and exact:
             keep, right = on.copy(), fit * s > 0
-            active = (on, cols, gram)
             for kept in (np.abs(fit) >= 1e-9 * np.abs(fit).max(), True):
                 keep[on] = kept & right
-                z = _refit(a, yv, keep, active)
+                z = _refit(a, yv, keep)
                 fitted = z is not None and _length(a @ z - yv) <= goal
                 if fitted or np.array_equal(keep[on], right):
                     break
-            if fitted and _certified(a, yv, z, nu, nonnegative, active):
+            if fitted and _certified(a, yv, z, nu, nonnegative):
                 return z * unit, step, True
             if not (kept & (fit * s < 0)).any():
                 break
@@ -326,12 +325,8 @@ def _walk(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
                 if lam * (tau + t) >= 1.0:
                     x = np.zeros(n)
                     x[on] = fit - lam * d
-                    r = yv - a @ x
-                    c = a.T @ r
-                    nu = r / (c.max() if nonnegative else np.abs(c).max())
-                    l1 = np.abs(x).sum()
-                    gap = l1 - (yv @ nu - goal * _length(nu))
-                    return x * unit, step, bool(gap <= TOL * l1)
+                    nu = (yv - a @ x) / lam
+                    return x * unit, step, _certified(a, yv, x, nu, nonnegative, goal)
         if t == np.inf:
             break
         nu += t * delta
@@ -372,55 +367,43 @@ def _join_ratios(c: np.ndarray, v: np.ndarray, floor: np.ndarray,
     return np.divide(np.maximum(gap, 0.0, out=gap), rate, out=join, where=rate > floor)
 
 
-def _columns(a: np.ndarray, support: np.ndarray, active):
-    """Phi_S and its Gram matrix Phi_S^T Phi_S for the columns S of the mask
-    `support`.  `active`, None or a step's (mask, columns, Gram matrix),
-    supplies them where its mask equals `support`; they are built otherwise.
-    """
-    if active is not None and (active[0] == support).all():
-        return active[1], active[2]
-    cols = a[:, support]
-    return cols, cols.T @ cols
-
-
 def _certified(a: np.ndarray, yv: np.ndarray, z: np.ndarray, nu: np.ndarray,
-               nonnegative: bool, active=None) -> bool:
+               nonnegative: bool, eps: float = 0.0) -> bool:
     """Whether the dual point nu, projected onto Phi_S^T nu = sign(z_S) on the
-    support S of z, proves z optimal: whether ||z||_1 is within
-    TOL (max |y| + ||z||_1) of the dual bound.
+    support S of z, proves z optimal within the radius eps: whether
+    ||z||_1 is within TOL (max |y| + ||z||_1) of the dual bound.
 
-    By weak duality y^T nu / max(1, ||Phi^T nu||_inf) (with `nonnegative`,
-    max(1, max Phi^T nu)) bounds the l1 norm of every solution of Phi x = y
-    from below, for any nu.  The projection makes the dual point exact where
+    By weak duality (y^T nu - eps ||nu||) / max(1, ||Phi^T nu||_inf) (with
+    `nonnegative`, max(1, max Phi^T nu)) bounds the l1 norm of every x with
+    ||Phi x - y|| <= eps from below, for any nu; eps = 0 is the equality
+    constrained program.  The projection makes the dual point exact where
     z is nonzero, so the gap closes once nu is near the optimal dual; it
-    fails where the Gram matrix of S is singular.  A step of `_walk`
-    passes its (active set, columns, Gram matrix) as `active`, which is
-    used where S is that active set (`_columns`).
+    fails where the Gram matrix of S is singular.
     """
     support = z != 0
-    cols, gram = _columns(a, support, active)
+    cols = a[:, support]
     try:
-        nu = nu + cols @ np.linalg.solve(gram, np.sign(z[support]) - cols.T @ nu)
+        nu = nu + cols @ np.linalg.solve(cols.T @ cols,
+                                         np.sign(z[support]) - cols.T @ nu)
     except np.linalg.LinAlgError:
         return False
     l1 = float(np.abs(z).sum())
     dual = a.T @ nu
     top = dual.max() if nonnegative else np.abs(dual).max()
-    bound = float(yv @ nu) / max(1.0, float(top))
+    bound = (float(yv @ nu) - eps * _length(nu)) / max(1.0, float(top))
     return l1 - bound <= TOL * (float(np.abs(yv).max()) + l1)
 
 
-def _refit(a: np.ndarray, yv: np.ndarray, support: np.ndarray, active=None):
+def _refit(a: np.ndarray, yv: np.ndarray, support: np.ndarray):
     """The least-squares fit of y on `support`'s columns, zero elsewhere, or
     None where it is singular or not finite.
 
     It solves the normal equations of the columns and refines the solution
     once against the residual, which recovers the accuracy that squaring
-    their condition number loses.  A step of `_walk` passes its (active
-    set, columns, Gram matrix) as `active`, which is used where `support` is
-    that active set (`_columns`).
+    their condition number loses.
     """
-    cols, gram = _columns(a, support, active)
+    cols = a[:, support]
+    gram = cols.T @ cols
     try:
         fit = np.linalg.solve(gram, cols.T @ yv)
         fit += np.linalg.solve(gram, cols.T @ (yv - cols @ fit))

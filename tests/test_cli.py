@@ -582,6 +582,19 @@ def test_diagnose_commands_small(capsys):
     assert abs(est[0, 0] - 0.5) < 0.1
 
 
+def test_diagnose_isotropy_and_incoherence_ignore_sparsity(capsys):
+    # only the eta check draws s-sparse supports, so only it bounds s by n:
+    # the default s = 4 exceeds n = 2 but does not stop the other two checks
+    body = run_json(["diagnose", "--check", "isotropy", "--n", "2",
+                     "--rows", "100"], capsys)
+    assert np.array(body["data"]["estimate"]).shape == (2, 2)
+    body = run_json(["diagnose", "--check", "incoherence", "--n", "2",
+                     "--m", "5", "--schedules", "3"], capsys)
+    assert len(body["data"]["values"]) == 3
+    with pytest.raises(ConfigError, match="'s'"):
+        parse_config("diagnose", overrides={"check": "eta", "n": 2})
+
+
 def test_sweep_command_small(capsys):
     rc = main(["sweep", "--n", "8", "--s-max", "1", "--m-values", "20",
                "--runs", "3", "--format", "csv"])
