@@ -882,6 +882,10 @@ def main(argv=None) -> int:
         # uneven schedule) are configuration problems from the CLI's view.
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:
+        # So is a count too large to allocate for, say --samples 10**12.
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     meta = {
         "command": cfg.command,

@@ -334,8 +334,9 @@ def mode_table(basis: ModeBasis, grid: SampledGrid, n_max: int | None = None) ->
 
     The full basis.max_order table is built once per basis and memoised on
     the grid, read-only and starting on a _TABLE_ALIGN-byte boundary; the
-    first n_max columns are returned as a view of it.  Each column of the recurrence depends only on the two before
-    it, so the view equals an n_max-column build bit for bit.
+    first n_max columns are returned as a view of it.  Each column of the
+    recurrence depends only on the two before it, so the view equals an
+    n_max-column build bit for bit.
     """
     if n_max is None:
         n_max = basis.max_order

@@ -232,6 +232,22 @@ def test_sweep_range_is_bounded_before_it_is_expanded(capsys):
     assert "key 'm_max'" in capsys.readouterr().err
 
 
+def test_unallocatable_count_exits_config(monkeypatch, capsys):
+    # numpy raises MemoryError for an array too large to allocate, say
+    # --samples 10**12; the library call is patched so that nothing real is
+    # allocated on a host that overcommits memory
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr("compint.cli.eta_ensemble", too_large)
+    assert main(["diagnose", "--samples", str(10 ** 12)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("config error: ")
+    assert "7.28 TiB" in captured.err
+
+
 def test_scenario_checks():
     with pytest.raises(ConfigError, match="'name'"):
         parse_config("scenario", overrides={"name": "nope"})

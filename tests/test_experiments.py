@@ -221,11 +221,10 @@ def test_sweep_path_route_matches_highs(monkeypatch):
 
 
 def test_sweep_refit_leaves_exact_zeros(monkeypatch):
-    # Two one-run sweeps whose refit, certified early by an interior-point
-    # method, kept a column of its support guess at a round-off value
-    # (4.2e-17 and 3.3e-17), so the error was 1.4e-32 and 2.6e-33.  Only the
-    # entries that keep their sign are refit, and the solution is the truth
-    # to the last bit.
+    # Two one-run sweeps where a refit that kept a column of the support at
+    # a round-off value (4.2e-17 and 3.3e-17) would leave an error of 1.4e-32
+    # and 2.6e-33.  Only the entries that keep their sign are refit, so the
+    # solution is the truth to the last bit and the mean error is exactly 0.
     for m, seed in ((5, 1), (10, 2)):
         sweep, (res,) = _recorded_sweep(monkeypatch, 64, 4, [m], 1, seed=seed)
         assert res.converged

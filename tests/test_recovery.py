@@ -543,13 +543,11 @@ def test_exact_bp_detects_infeasible_nonnegative_data():
     assert np.all(np.isfinite(res.raw)) and np.all(res.raw >= 0.0)
 
 
-def test_exact_bp_stops_when_mu_stalls():
+def test_exact_bp_stops_where_no_column_can_join():
     # Noisy data fitted exactly with M = 52 close to N, where sigma_min(Phi)
     # is 1.8e-9, below the pivot tolerance TOL: the exact fit has an l1 norm
     # of 3e7.  After 51 steps the fit's residual lies along that direction,
-    # no column can join, and the solve ends unconverged.  An interior-point
-    # method let mu wander for 1299 steps here, and a Lasso path walked by
-    # lam swapped columns for 648.
+    # no column can join, and the solve ends unconverged.
     n = 64
     rng = np.random.default_rng(7104)
     m = int(rng.integers(48, 65))

@@ -42,9 +42,8 @@ def test_derive_seed_range_and_determinism():
 
 
 def test_stream_draws_match_philox_keyed_by_digest():
-    # stream() sets the state of a Philox built from a fixed seed sequence;
-    # every draw method the package uses must match Philox(key=digest), the
-    # generator it stands for, over many (seed, tags) pairs.
+    # stream() is Philox(key=digest): every draw method the package uses must
+    # match a Philox keyed by the digest of (seed, tags), over many pairs.
     rng = np.random.default_rng(12)
     draws = (
         lambda g: g.uniform(0.0, 2.0 * np.pi, 7),
@@ -62,3 +61,15 @@ def test_stream_draws_match_philox_keyed_by_digest():
         reference = np.random.Generator(np.random.Philox(key=key))
         for draw in draws:
             np.testing.assert_array_equal(draw(ours), draw(reference))
+
+
+def test_stream_draws_are_pinned():
+    # literal draws, so that a numpy release that changed Philox or a draw
+    # method, or a change to the key derivation, cannot pass unseen
+    assert stream(0, "delay-schedule").random(3).tolist() == [
+        0.5073142583397319, 0.2780126032416119, 0.713479343750551]
+    assert stream(3, "eta-block", 0).random(3).tolist() == [
+        0.5868450561804665, 0.2510182441954788, 0.7665303592359292]
+    assert stream(2 ** 64 - 1, "sweep-vector", 99).integers(0, 2 ** 62, 2).tolist() == [
+        1264970310332499490, 2465239165357812409]
+    assert derive_seed(0, "sweep-schedule", 20, 3) == 8275294608365761628
