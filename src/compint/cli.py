@@ -13,11 +13,12 @@ single `seed` value; outputs are byte-stable for fixed inputs and written
 atomically.
 
 Exit codes: 0 success, 2 configuration error, 3 ingestion error, 4 output
-I/O error, 5 non-converged solve under --strict.
+error (I/O, or NaN or inf in JSON), 5 non-converged solve under --strict.
 """
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import inspect
 import json
@@ -56,7 +57,7 @@ class IngestError(Exception):
 
 
 class EmitError(Exception):
-    """Output file could not be written."""
+    """Output could not be rendered or written."""
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +176,6 @@ def _coerce(key, constraint, raw, item, kind=float):
 
 # Counts size numpy arrays, which cannot hold more than np.intp elements.
 _MAX_COUNT = int(np.iinfo(np.intp).max)
-# The sweep's m_min..m_max range is expanded into a list while parsing; every
-# value costs `runs` solves, so a range past a million values would never
-# finish, and bounding it keeps the list below about 40 MB.
-_MAX_SWEEP_POINTS = 10 ** 6
 
 
 def _at_most(key, high, value, raw):
@@ -214,6 +211,7 @@ _COUNT = _integer("an integer >= 1", lambda value: value >= 1, _MAX_COUNT)
 _FINITE = _number("a finite number")
 _NONNEGATIVE = _number("a number >= 0.0", lambda value: value >= 0)
 _POSITIVE = _number("a number > 0", lambda value: value > 0)
+_N = _Param(64, _COUNT, "number of potential modes")
 
 
 @_flag(action="store_true")
@@ -302,7 +300,7 @@ def _int_list(key, raw):
 # A help line gets " (default X)" appended unless the default is None.
 _SCHEMAS = {
     "simulate": {
-        "n": _Param(64, _COUNT, "number of potential modes"),
+        "n": _N,
         "schedule": _Param("even", _choice("even", "random"),
                            "delay schedule kind"),
         "m": _Param(None, _COUNT,
@@ -325,7 +323,7 @@ _SCHEMAS = {
                            "baseline subtracted from power"),
         "wrap": _Param(_default(ingest_interferogram, "wrap"), _bool,
                        "reduce out-of-range delays mod 2*pi"),
-        "n": _Param(64, _COUNT, "number of potential modes"),
+        "n": _N,
         "epsilon": _Param(_default(BPOptions, "residual_epsilon"), _NONNEGATIVE,
                           "BP residual radius"),
         "max_iters": _Param(_default(BPOptions, "max_iters"), _COUNT,
@@ -339,7 +337,7 @@ _SCHEMAS = {
         "check": _Param("eta", _choice("eta", "incoherence", "isotropy"),
                         "which property"),
         "m": _Param(30, _COUNT, "measurements per schedule"),
-        "n": _Param(64, _COUNT, "number of potential modes"),
+        "n": _N,
         "s": _Param(4, _COUNT, "sparsity of test vectors"),
         "samples": _Param(100000, _COUNT, "eta sample count"),
         "schedules": _Param(1000, _COUNT, "schedules for incoherence"),
@@ -348,15 +346,11 @@ _SCHEMAS = {
                              "fresh sensing matrix per eta sample"),
     },
     "sweep": {
-        "n": _Param(64, _COUNT, "number of potential modes"),
+        "n": _N,
         "s_max": _Param(4, _COUNT, "largest support size drawn"),
-        "m_values": _Param(None, _int_list,
-                           "comma-separated M values (overrides the range)"),
-        "m_min": _Param(5, _COUNT, "range start"),
-        "m_max": _Param(50, _COUNT, "range stop, inclusive"),
-        "m_step": _Param(5, _COUNT, "range step"),
+        "m_values": _Param(list(range(5, 51, 5)), _int_list,
+                           "comma-separated M values"),
         "runs": _Param(100, _COUNT, "draws per M"),
-        "vectors": _Param(None, _COUNT, "ground-truth pool size (default: runs)"),
         "threshold": _Param(_default(error_vs_m_sweep, "threshold"), _POSITIVE,
                             "mean-error threshold for m_star"),
         "max_iters": _Param(_default(error_vs_m_sweep, "opts").max_iters,
@@ -432,22 +426,6 @@ def _check_sweep(params, explicit):
     if params["s_max"] > params["n"]:
         raise ConfigError(
             f"key 's_max': {params['s_max']} exceeds n={params['n']}")
-    range_keys = {"m_min", "m_max", "m_step"} & explicit
-    if params["m_values"] is not None and range_keys:
-        raise ConfigError(
-            "key 'm_values': mutually exclusive with "
-            + ", ".join(sorted(range_keys)))
-    if params["m_values"] is None:
-        if params["m_min"] > params["m_max"]:
-            raise ConfigError(
-                f"key 'm_min': {params['m_min']} exceeds m_max={params['m_max']}")
-        count = (params["m_max"] - params["m_min"]) // params["m_step"] + 1
-        if count > _MAX_SWEEP_POINTS:
-            raise ConfigError(
-                f"key 'm_max': m_min..m_max in steps of m_step holds {count} "
-                f"values, at most {_MAX_SWEEP_POINTS}")
-        params["m_values"] = list(
-            range(params["m_min"], params["m_max"] + 1, params["m_step"]))
 
 
 def _check_scenario(params, explicit):
@@ -510,7 +488,8 @@ def parse_config(command: str, config_path: str | None = None,
     schema = _SCHEMAS[command]
 
     keys = {**schema, **_GLOBALS}
-    values = {key: spec.default for key, spec in keys.items()}
+    # Copies, so that a caller who mutates a list default changes no later parse.
+    values = {key: copy.copy(spec.default) for key, spec in keys.items()}
     explicit = set()
 
     loaded = {} if config_path is None else _load_config_file(config_path)
@@ -570,7 +549,7 @@ def _csv_cell(value) -> str:
 def render_text(meta: dict, output: CommandOutput, fmt: str) -> str:
     if fmt == "json":
         body = {"meta": _jsonable(meta), "data": _jsonable(output.data)}
-        return json.dumps(body, sort_keys=True, indent=2) + "\n"
+        return json.dumps(body, sort_keys=True, indent=2, allow_nan=False) + "\n"
     lines = [f"# {comment}" for comment in output.csv_comments]
     lines.append(output.csv_header)
     for row in output.csv_rows:
@@ -583,9 +562,13 @@ def emit_result(meta: dict, output: CommandOutput, fmt: str,
     """Render and write a result; returns the rendered text.
 
     path None writes to stdout.  File writes are atomic (temp file plus
-    rename) and byte-stable for identical inputs.
+    rename) and byte-stable for identical inputs.  A result that `fmt`
+    cannot represent (JSON has no NaN or inf) writes nothing.
     """
-    text = render_text(meta, output, fmt)
+    try:
+        text = render_text(meta, output, fmt)
+    except ValueError as exc:
+        raise EmitError(f"cannot render {fmt}: {exc}")
     if path is None:
         sys.stdout.write(text)
         return text
@@ -741,7 +724,7 @@ def _run_sweep(cfg: RunConfig) -> CommandOutput:
     p = cfg.params
     result = error_vs_m_sweep(
         p["n"], p["s_max"], p["m_values"], p["runs"],
-        vectors=p["vectors"], seed=cfg.seed, threshold=p["threshold"],
+        seed=cfg.seed, threshold=p["threshold"],
         opts=BPOptions(max_iters=p["max_iters"]),
     )
     data = {

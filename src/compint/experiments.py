@@ -213,19 +213,16 @@ def random_sparse_spectrum(n_modes: int, support_size: int, seed: int) -> ModalS
 
 
 def error_vs_m_sweep(n_modes: int, s_max: int, m_values, runs: int,
-                     vectors: int | None = None, seed: int = 0,
-                     threshold: float = 0.01,
+                     seed: int = 0, threshold: float = 0.01,
                      opts: BPOptions = BPOptions()) -> SweepResult:
     """BP reconstruction error versus measurement count M.
 
-    Draws a pool of `vectors` ground-truth spectra (support size uniform on
-    1..s_max, positive values summing to 1); defaults to one per run.  Each
-    (M, run) pair gets an independent random schedule, so a run is a fresh
-    (schedule, spectrum) draw.  Errors are scored against the known ground
-    truth.  m_star is the smallest M whose mean error falls below
-    `threshold`, or None if none does; `unconverged` counts the solves that
-    did not converge, whose errors are averaged in all the same.
-    Deterministic in (arguments, seed).
+    Run r draws its own ground-truth spectrum (support size uniform on
+    1..s_max, positive values summing to 1) and scores BP against it at every
+    M, with an independent random schedule for each (M, run) pair.  m_star is
+    the smallest M whose mean error falls below `threshold`, or None if none
+    does; `unconverged` counts the solves that did not converge, whose errors
+    are averaged in all the same.  Deterministic in (arguments, seed).
     """
     m_values = np.asarray(list(m_values), dtype=int)
     if len(m_values) == 0:
@@ -236,24 +233,19 @@ def error_vs_m_sweep(n_modes: int, s_max: int, m_values, runs: int,
         raise ValueError(f"s_max {s_max} outside 1..{n_modes}")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    if vectors is None:
-        vectors = runs
-    if vectors < 1:
-        raise ValueError(f"vectors must be >= 1, got {vectors}")
 
-    pool = []
-    for i in range(vectors):
-        rng = stream(seed, "sweep-vector", i)
+    truths = []
+    for r in range(runs):
+        rng = stream(seed, "sweep-vector", r)
         s = int(rng.integers(1, s_max + 1))
-        pool.append(ModalSpectrum(_draw_support_values(rng, n_modes, s)))
+        truths.append(ModalSpectrum(_draw_support_values(rng, n_modes, s)))
 
     mean_error = np.empty(len(m_values))
     std_error = np.empty(len(m_values))
     unconverged = 0
     for j, m in enumerate(m_values):
         errors = np.empty(runs)
-        for r in range(runs):
-            truth = pool[r % vectors]
+        for r, truth in enumerate(truths):
             schedule = random_schedule(
                 int(m), derive_seed(seed, "sweep-schedule", int(m), r))
             phi = sensing_matrix(schedule, n_modes)

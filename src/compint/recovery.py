@@ -417,17 +417,21 @@ def _refit(a: np.ndarray, yv: np.ndarray, support: np.ndarray):
 
 
 def reconstruction_error(reference, estimate) -> float:
-    """Scaled error ||ref - est||^2 / ||ref||^2.
+    """Scaled error ||ref - est||^2 / ||ref||^2, inf past the float range.
 
     Accepts ModalSpectrum objects or plain vectors (so raw solver outputs can
-    be scored directly).
+    be scored directly).  Both are scaled by a power of two near max |ref|
+    before squaring, as in `_norm`: exactly, and so that ||ref||^2 is finite.
     """
     ref = _as_vector(reference)
     est = _as_vector(estimate)
     if ref.shape != est.shape:
         raise ValueError(f"length mismatch: {ref.shape} vs {est.shape}")
+    k = math.frexp(float(np.abs(ref).max(initial=0.0)))[1]
+    ref = np.ldexp(ref, -k)  # not ref / 2.0 ** k, which overflows at k = 1024
     denom = float(ref @ ref)
     if denom == 0.0:
         raise ValueError("reference spectrum must be nonzero")
-    diff = ref - est
-    return float(diff @ diff) / denom
+    with np.errstate(over="ignore"):
+        diff = ref - np.ldexp(est, -k)
+        return float(diff @ diff) / denom

@@ -51,6 +51,10 @@ def test_defaults_per_command():
     sweep = parse_config("sweep")
     assert sweep.params["m_values"] == list(range(5, 51, 5))
     assert sweep.params["runs"] == 100
+    # a list default is the schema's, copied: mutating it changes no later parse
+    sweep.params["m_values"].append(55)
+    assert _SCHEMAS["sweep"]["m_values"].default == list(range(5, 51, 5))
+    assert parse_config("sweep").params["m_values"] == list(range(5, 51, 5))
 
     diag = parse_config("diagnose")
     assert diag.params["check"] == "eta"
@@ -192,9 +196,6 @@ def test_json_null_leaves_none_default_unset(tmp_path):
     path.write_text('{"m": null, "weights": null, "scenario": null}')
     assert (parse_config("simulate", config_path=str(path)).params
             == parse_config("simulate").params)
-    path.write_text('{"vectors": null, "m_values": null}')
-    assert (parse_config("sweep", config_path=str(path)).params
-            == parse_config("sweep").params)
 
 
 def test_recover_requires_input():
@@ -209,27 +210,22 @@ def test_diagnose_sparsity_check():
     assert cfg.params["s"] == 8
 
 
-def test_sweep_range_handling():
+def test_sweep_takes_m_values_only(tmp_path, capsys):
     cfg = parse_config("sweep", overrides={"m_values": "10,20"})
     assert cfg.params["m_values"] == [10, 20]
-    with pytest.raises(ConfigError, match="'m_values'"):
-        parse_config("sweep", overrides={"m_values": [10], "m_min": 2})
-    with pytest.raises(ConfigError, match="'m_min'"):
-        parse_config("sweep", overrides={"m_min": 10, "m_max": 5})
     with pytest.raises(ConfigError, match="'s_max'"):
         parse_config("sweep", overrides={"s_max": 9, "n": 8})
-    cfg = parse_config("sweep", overrides={"m_min": 2, "m_max": 8, "m_step": 3})
-    assert cfg.params["m_values"] == [2, 5, 8]
-
-
-def test_sweep_range_is_bounded_before_it_is_expanded(capsys):
-    # a billion-value range would be a list of tens of GB before any solve
-    cfg = parse_config("sweep", overrides={"m_min": 1, "m_max": 10 ** 6, "m_step": 1})
-    assert len(cfg.params["m_values"]) == 10 ** 6
-    with pytest.raises(ConfigError, match="'m_max'"):
-        parse_config("sweep", overrides={"m_min": 1, "m_max": 10 ** 6 + 1, "m_step": 1})
-    assert main(["sweep", "--m-max", str(10 ** 9)]) == EXIT_CONFIG
-    assert "key 'm_max'" in capsys.readouterr().err
+    # M comes as a list only, and each run has its own truth: no range keys
+    # and no pool size, as a flag or as a config key
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--m-min", "5"])
+    assert info.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --m-min" in capsys.readouterr().err
+    path = tmp_path / "cfg.json"
+    for key, value in (("vectors", 3), ("m_min", 5)):
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config("sweep", config_path=str(path))
 
 
 def test_unallocatable_count_exits_config(monkeypatch, capsys):
@@ -713,6 +709,18 @@ def test_exit_io_error(tmp_path, capsys):
                "--out", str(tmp_path / "no-such-dir" / "x.json")])
     assert rc == EXIT_IO
     assert "output error:" in capsys.readouterr().err
+
+
+def test_exit_io_on_a_result_json_cannot_hold(tmp_path, capsys):
+    # noise of 1e300 makes both truth errors about 1e600, which is inf; JSON
+    # has no Infinity, so nothing is written.  CSV holds no truth error.
+    out = tmp_path / "f.json"
+    argv = ["scenario", "--name", "hg0", "--noise-sigma", "1e300"]
+    assert main(argv + ["--out", str(out)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+    assert main(argv + ["--format", "csv"]) == EXIT_OK
 
 
 def test_exit_strict_on_nonconvergence(tmp_path, capsys):

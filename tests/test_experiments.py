@@ -237,12 +237,6 @@ def test_sweep_reports_no_threshold_crossing():
     assert np.all(sweep.mean_error > sweep.threshold)
 
 
-def test_sweep_single_vector_pool():
-    sweep = error_vs_m_sweep(16, 2, [64], runs=4, vectors=1, seed=3)
-    assert sweep.m_star == 64
-    assert sweep.mean_error[0] < 1e-10
-
-
 def test_sweep_validation():
     with pytest.raises(ValueError):
         error_vs_m_sweep(16, 2, [], runs=4)
@@ -254,8 +248,9 @@ def test_sweep_validation():
         error_vs_m_sweep(16, 17, [5], runs=4)
     with pytest.raises(ValueError):
         error_vs_m_sweep(16, 2, [5], runs=0)
-    with pytest.raises(ValueError):
-        error_vs_m_sweep(16, 2, [5], runs=4, vectors=0)
+    # each run draws its own truth: there is no pool size to set
+    with pytest.raises(TypeError):
+        error_vs_m_sweep(16, 2, [5], runs=4, vectors=1)
 
 
 def test_sweep_result_validation():

@@ -358,8 +358,8 @@ def test_eta_block_power_of_two_scale_invariance(problem, k):
 
 
 # Integers are drawn small, anywhere in np.intp's range, or past it.  Parsing
-# allocates nothing sized by a count, and sweep's m_min..m_max range is bounded
-# before it is expanded, so mid-sized counts must parse or be rejected quickly.
+# allocates nothing sized by a count, so mid-sized counts must parse or be
+# rejected quickly.
 _INTEGERS = (st.integers(-1000, 1000) | st.integers(-_MAX_COUNT - 1, _MAX_COUNT)
              | st.integers(min_value=_MAX_COUNT + 1)
              | st.integers(max_value=-_MAX_COUNT - 2))

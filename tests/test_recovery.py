@@ -939,3 +939,8 @@ def test_reconstruction_error_values():
         reconstruction_error([0.0, 0.0], [1.0, 0.0])
     with pytest.raises(ValueError):
         reconstruction_error([1.0], [1.0, 0.0])
+    # ||ref||^2 of 1e320 and 1e-340 is past the float range both ways; an
+    # error ratio of 1e400 is past it too
+    assert reconstruction_error([1e160], [2e160]) == 1.0
+    assert reconstruction_error([1e-170], [2e-170]) == 1.0
+    assert reconstruction_error([1.0, 0.0], [1.0, 1e200]) == np.inf
