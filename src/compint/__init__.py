@@ -18,9 +18,8 @@ from .sensing import (DelaySchedule, MeasurementVector, ModalSpectrum,
                       ScheduleKind, SensingMatrix, analytic_interferogram,
                       even_alphas, nyquist_schedule, random_schedule,
                       sample_interferogram, sensing_matrix)
-from .recovery import (BPOptions, InsufficientSamplingError, Method,
-                       RecoveryResult, basis_pursuit, ft_recover,
-                       reconstruction_error)
+from .recovery import (BPOptions, InsufficientSamplingError, RecoveryResult,
+                       basis_pursuit, ft_recover, reconstruction_error)
 from .diagnostics import (EtaEnsembleReport, IsotropyReport, eta,
                           eta_ensemble, incoherence, isotropy_estimate,
                           isotropy_from_rows)
@@ -38,7 +37,7 @@ __all__ = [
     "SensingMatrix", "analytic_interferogram", "even_alphas",
     "nyquist_schedule", "random_schedule", "sample_interferogram",
     "sensing_matrix",
-    "BPOptions", "InsufficientSamplingError", "Method", "RecoveryResult",
+    "BPOptions", "InsufficientSamplingError", "RecoveryResult",
     "basis_pursuit", "ft_recover", "reconstruction_error",
     "EtaEnsembleReport", "IsotropyReport", "eta", "eta_ensemble",
     "incoherence", "isotropy_estimate", "isotropy_from_rows",

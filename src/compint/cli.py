@@ -326,12 +326,8 @@ _SCHEMAS = {
         "n": _N,
         "epsilon": _Param(_default(BPOptions, "residual_epsilon"), _NONNEGATIVE,
                           "BP residual radius"),
-        "max_iters": _Param(_default(BPOptions, "max_iters"), _COUNT,
-                            "cap on BP solver steps"),
         "nonnegative": _Param(_default(BPOptions, "nonnegative"), _bool,
                               "restrict BP to nonnegative weights"),
-        "zero_threshold": _Param(_default(BPOptions, "zero_threshold"),
-                                 _NONNEGATIVE, "snap smaller weights to zero"),
     },
     "diagnose": {
         "check": _Param("eta", _choice("eta", "incoherence", "isotropy"),
@@ -353,8 +349,6 @@ _SCHEMAS = {
         "runs": _Param(100, _COUNT, "draws per M"),
         "threshold": _Param(_default(error_vs_m_sweep, "threshold"), _POSITIVE,
                             "mean-error threshold for m_star"),
-        "max_iters": _Param(_default(error_vs_m_sweep, "opts").max_iters,
-                            _COUNT, "cap on BP solver steps per solve"),
     },
     "scenario": {
         "name": _Param("hg0", _string, "builtin beam name"),
@@ -632,12 +626,8 @@ def _run_recover(cfg: RunConfig) -> CommandOutput:
     if p["method"] == "ft":
         result = ft_recover(y, schedule, p["n"])
     else:
-        opts = BPOptions(
-            residual_epsilon=p["epsilon"],
-            max_iters=p["max_iters"],
-            nonnegative=p["nonnegative"],
-            zero_threshold=p["zero_threshold"],
-        )
+        opts = BPOptions(residual_epsilon=p["epsilon"],
+                         nonnegative=p["nonnegative"])
         result = basis_pursuit(sensing_matrix(schedule, p["n"]), y, opts)
     data = {
         "method": p["method"],
@@ -725,7 +715,6 @@ def _run_sweep(cfg: RunConfig) -> CommandOutput:
     result = error_vs_m_sweep(
         p["n"], p["s_max"], p["m_values"], p["runs"],
         seed=cfg.seed, threshold=p["threshold"],
-        opts=BPOptions(max_iters=p["max_iters"]),
     )
     data = {
         "m_values": result.m_values,

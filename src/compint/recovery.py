@@ -7,7 +7,6 @@ program for random sub-Nyquist schedules.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -32,22 +31,17 @@ class InsufficientSamplingError(ValueError):
     """Even-grid sampling is below the Nyquist rate for the requested N."""
 
 
-class Method(enum.Enum):
-    FT = "ft"
-    BP = "bp"
-
-
 @dataclass(frozen=True)
 class BPOptions:
-    """Basis Pursuit solver configuration.
+    """Basis Pursuit solver configuration: the two settings that define the
+    program.
 
     residual_epsilon is the data-fidelity radius ||Phi x - y||_2 <= eps.
-    Up to abs_tol, the feasibility tolerance of every solve (a constant of
-    the solver, not an option), the program is the equality-constrained
-    one, a linear program; the default 1e-9 selects it.  Noisy data need a
-    radius matched to the noise.  Both are solved by one walk along the l1
-    path (`_walk`), and max_iters caps its steps; most solves stop well
-    before it.
+    Up to abs_tol, the feasibility tolerance of every solve, the program is
+    the equality-constrained one, a linear program; the default 1e-9
+    selects it.  Noisy data need a radius matched to the noise.  Both are
+    solved by one walk along the l1 path (`_walk`).  Set nonnegative to
+    restrict the search to x >= 0.
 
     A step is one pass of that walk on its active set S: one linear solve
     with the Gram matrix of S and three right-hand sides, one that refines
@@ -59,31 +53,30 @@ class BPOptions:
     refines d = G^-1 s, and the step that reaches epsilon adds the
     certificate's one as well.
 
-    Set nonnegative to restrict the search to x >= 0.  Entries of the
-    solution smaller in magnitude than zero_threshold are snapped to 0 in the
-    reported spectrum (the raw solution is kept alongside).
+    Three class constants belong to the solver, not to the program, and no
+    result depends on changing them, so they are not options: abs_tol;
+    max_iters, a cap on the walk's steps far above the few hundred that the
+    hardest tested solves take; and zero_threshold, below which an entry of
+    the solution is snapped to 0 in the reported spectrum (the raw solution
+    is kept alongside).
     """
 
     residual_epsilon: float = 1e-9
-    abs_tol: ClassVar[float] = 1e-8
-    max_iters: int = 50000
     nonnegative: bool = False
-    zero_threshold: float = 1e-6
+    abs_tol: ClassVar[float] = 1e-8
+    max_iters: ClassVar[int] = 50000
+    zero_threshold: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         if self.residual_epsilon < 0:
             raise ValueError("residual_epsilon must be >= 0")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.zero_threshold < 0:
-            raise ValueError("zero_threshold must be >= 0")
 
 
 @_frozen_value
 class RecoveryResult:
     """Recovered spectrum plus solver metadata.
 
-    `spectrum` is the reporting view: zero-snapped at the configured threshold
+    `spectrum` is the reporting view: zero-snapped at BPOptions.zero_threshold
     and clipped at 0 (weights are physically nonnegative).  `raw` is the
     untouched solver output, which failed or noisy recoveries may leave signed;
     error metrics should use it.  `iterations` is 0 for harmonic inversion
@@ -94,7 +87,6 @@ class RecoveryResult:
     iterations: int
     final_residual: float
     converged: bool
-    method: Method
     raw: np.ndarray
 
     def __post_init__(self):
@@ -103,15 +95,33 @@ class RecoveryResult:
         _own(self, "raw")
 
 
-def _norm(v: np.ndarray) -> float:
-    """||v||_2, finite for any finite v.
+def _scaled(v: np.ndarray):
+    """(v / 2^k, k) for the least k with max |v| < 2^k (k = 0 for v = 0).
 
-    v is divided by a power of two near max |v| before squaring.  That
-    division is exact, so wherever np.linalg.norm(v) neither overflows nor
-    underflows the two agree to the last bit.
+    np.ldexp divides without forming 2^k, which overflows at k = 1024, and
+    exactly unless the quotient is subnormal; its norms neither overflow
+    nor underflow.
     """
-    unit = math.ldexp(1.0, math.frexp(float(np.abs(v).max()))[1])
-    return unit * _length(v / unit)
+    k = math.frexp(float(np.abs(v).max(initial=0.0)))[1]
+    return np.ldexp(v, -k), k
+
+
+def _ldexp(x: float, k: int) -> float:
+    """math.ldexp(x, k), but +-inf where x 2^k is past the float range."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _norm(v: np.ndarray) -> float:
+    """||v||_2, inf only where it is past the float range.
+
+    v is scaled by `_scaled` before squaring, so wherever np.linalg.norm(v)
+    neither overflows nor underflows the two agree to the last bit.
+    """
+    v, k = _scaled(v)
+    return _ldexp(_length(v), k)
 
 
 def _length(v: np.ndarray) -> float:
@@ -122,11 +132,6 @@ def _length(v: np.ndarray) -> float:
     """
     v = v.ravel(order="K")
     return math.sqrt(v.dot(v))
-
-
-def _reported_spectrum(raw: np.ndarray, zero_threshold: float) -> ModalSpectrum:
-    snapped = np.where(np.abs(raw) < zero_threshold, 0.0, raw)
-    return ModalSpectrum(np.maximum(snapped, 0.0))
 
 
 def _is_even_grid(schedule: DelaySchedule) -> bool:
@@ -162,7 +167,6 @@ def _ft_invert(y: MeasurementVector, phi: SensingMatrix) -> RecoveryResult:
         iterations=0,
         final_residual=residual,
         converged=True,
-        method=Method.FT,
         raw=coeffs,
     )
 
@@ -177,30 +181,35 @@ def basis_pursuit(phi: SensingMatrix, y: MeasurementVector,
     whose steps `iterations` counts (`BPOptions` says what a step is).
 
     A converged result always satisfies ||Phi z - y||_2 <= epsilon + abs_tol.
-    Non-convergence (infeasible data, a singular system, or the iteration
-    cap) is reported through converged=False, never raised; `raw` is finite
-    either way, and nonnegative when opts.nonnegative is set.
+    Non-convergence (infeasible data, a singular system, or the step cap)
+    is reported through converged=False, never raised; `raw` is finite
+    either way, and nonnegative when opts.nonnegative is set.  Raises
+    ValueError where the solution lies past the float range.
     """
     a = phi.entries
     m = a.shape[0]
     if len(y) != m:
         raise ValueError(f"measurement length {len(y)} != matrix rows {m}")
-    yv = y.values
     eps = opts.residual_epsilon
-    z, iterations, converged = _walk(a, yv, opts)
-    residual = _norm(a @ z - yv)
+    z, power, iterations, converged = _walk(a, y.values, opts)
+    # z and its residual are those of y / 2^power until scaled back.
+    residual = _ldexp(_norm(a @ z - np.ldexp(y.values, -power)), power)
+    with np.errstate(over="ignore"):
+        z = np.ldexp(z, power)
+    if not np.isfinite(z).all():
+        raise ValueError("Basis Pursuit solution overflows the float range")
     return RecoveryResult(
-        spectrum=_reported_spectrum(z, opts.zero_threshold),
+        spectrum=ModalSpectrum(np.maximum(
+            np.where(np.abs(z) < opts.zero_threshold, 0.0, z), 0.0)),
         iterations=iterations,
         final_residual=residual,
         converged=converged and residual <= eps + opts.abs_tol,
-        method=Method.BP,
         raw=z,
     )
 
 
 def _walk(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
-    """Basis Pursuit along the l1 path: (z, steps, converged).
+    """Basis Pursuit along the l1 path: (z / 2^power, power, steps, converged).
 
     The Lasso path x(lam) = argmin ||Phi x - y||^2 / 2 + lam ||x||_1 (the
     positive Lasso with `nonnegative`) runs from lam = max |Phi^T y| down to
@@ -239,28 +248,25 @@ def _walk(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
     Data inside the epsilon-ball around 0 give z = 0 at step 1.  The walk
     ends unconverged where the data are infeasible (y is not fit on a basis
     of min(M, N) columns, or no column can join or leave), where a fit that
-    keeps every sign is not certified, or after max_iters steps, with z the
-    last fit on S (clipped at 0 under `nonnegative`); and where G is
-    singular, with z = 0.
+    keeps every sign is not certified, or at the step cap
+    (`BPOptions.max_iters`), with z the last fit on S (clipped at 0 under
+    `nonnegative`); and where G is singular, with z = 0.
     """
     m, n = a.shape
     eps, nonnegative = opts.residual_epsilon, opts.nonnegative
-    # The walk runs on y divided by a power of two near max |y|, which is
-    # exact: its norms then neither overflow nor underflow.  So max |y| is
-    # ymax / unit after it, and ||y|| is unit ||y / unit||, as `_norm` has it.
+    # The walk runs on y / 2^power from `_scaled`, and so does every radius.
     ymax = float(np.abs(yv).max())
-    unit = math.ldexp(1.0, math.frexp(ymax)[1])
-    yv = yv / unit
-    if unit * _length(yv) <= eps:
-        return np.zeros(n), 1, True
+    yv, power = _scaled(yv)
+    if _length(yv) <= _ldexp(eps, -power):
+        return np.zeros(n), power, 1, True
     exact = eps <= opts.abs_tol
-    goal = min(eps + opts.abs_tol, TOL * ymax) / unit if exact else eps / unit
+    goal = _ldexp(min(eps + opts.abs_tol, TOL * ymax) if exact else eps, -power)
     pivot_tol = TOL * np.linalg.norm(a, axis=0)
     c = a.T @ yv
     j = int(np.argmax(c if nonnegative else np.abs(c)))
     top = c[j] if nonnegative else abs(c[j])
     if not top > 0:
-        return np.zeros(n), 1, False
+        return np.zeros(n), power, 1, False
     signs = np.zeros(n)
     signs[j] = np.copysign(1.0, c[j])
     nu, tau = yv / top, 1.0 / top
@@ -273,9 +279,9 @@ def _walk(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
                 gram, np.array((cols.T @ yv, s - cols.T @ nu, s)).T).T
             fit += np.linalg.solve(gram, cols.T @ (yv - cols @ fit))
         except np.linalg.LinAlgError:
-            return np.zeros(n), step, False
+            return np.zeros(n), power, step, False
         if not np.isfinite(fit).all():
-            return np.zeros(n), step, False
+            return np.zeros(n), power, step, False
         nu += cols @ shift
         r = yv - cols @ fit
         length = _length(r)
@@ -289,7 +295,7 @@ def _walk(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
                 if fitted or np.array_equal(keep[on], right):
                     break
             if fitted and _certified(a, yv, z, nu, nonnegative):
-                return z * unit, step, True
+                return z, power, step, True
             if not (kept & (fit * s < 0)).any():
                 break
             i = int(np.argmin(fit * s))
@@ -326,7 +332,7 @@ def _walk(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
                     x = np.zeros(n)
                     x[on] = fit - lam * d
                     nu = (yv - a @ x) / lam
-                    return x * unit, step, _certified(a, yv, x, nu, nonnegative, goal)
+                    return x, power, step, _certified(a, yv, x, nu, nonnegative, goal)
         if t == np.inf:
             break
         nu += t * delta
@@ -336,8 +342,8 @@ def _walk(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
         else:
             signs[np.flatnonzero(on)[k]] = 0.0
     z = np.zeros(n)
-    z[on] = unit * (np.maximum(fit, 0.0) if nonnegative else fit)
-    return z, step, False
+    z[on] = np.maximum(fit, 0.0) if nonnegative else fit
+    return z, power, step, False
 
 
 def _join_ratios(c: np.ndarray, v: np.ndarray, floor: np.ndarray,
@@ -420,15 +426,14 @@ def reconstruction_error(reference, estimate) -> float:
     """Scaled error ||ref - est||^2 / ||ref||^2, inf past the float range.
 
     Accepts ModalSpectrum objects or plain vectors (so raw solver outputs can
-    be scored directly).  Both are scaled by a power of two near max |ref|
-    before squaring, as in `_norm`: exactly, and so that ||ref||^2 is finite.
+    be scored directly).  Both are divided by the 2^k by which `_scaled`
+    divides ref before squaring: exactly, and so that ||ref||^2 is finite.
     """
     ref = _as_vector(reference)
     est = _as_vector(estimate)
     if ref.shape != est.shape:
         raise ValueError(f"length mismatch: {ref.shape} vs {est.shape}")
-    k = math.frexp(float(np.abs(ref).max(initial=0.0)))[1]
-    ref = np.ldexp(ref, -k)  # not ref / 2.0 ** k, which overflows at k = 1024
+    ref, k = _scaled(ref)
     denom = float(ref @ ref)
     if denom == 0.0:
         raise ValueError("reference spectrum must be nonzero")

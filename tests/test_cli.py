@@ -190,6 +190,23 @@ def test_rho_is_rejected_as_flag_and_key(tmp_path, capsys):
     assert "unknown key 'rho'" in capsys.readouterr().err
 
 
+def test_solver_constants_are_rejected_as_flags_and_keys(tmp_path, capsys):
+    # the step cap and the report threshold are constants of BPOptions
+    sim = str(tmp_path / "in.csv")
+    for argv in (["recover", sim, "--max-iters", "5"],
+                 ["recover", sim, "--zero-threshold", "0"],
+                 ["sweep", "--max-iters", "5"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+    path = tmp_path / "cfg.json"
+    path.write_text('{"max_iters": 10}')
+    for command in (["recover", sim], ["sweep"]):
+        assert main(command + ["--config", str(path)]) == EXIT_CONFIG
+        assert "unknown key 'max_iters'" in capsys.readouterr().err
+
+
 def test_json_null_leaves_none_default_unset(tmp_path):
     # null for a key whose default is None is the same as leaving it out
     path = tmp_path / "cfg.json"
@@ -619,8 +636,9 @@ def test_sweep_command_small(capsys):
     assert lines[-1].startswith("20,")
 
 
-def test_sweep_strict_exits_on_unconverged_solves(capsys):
-    rc = main(["sweep", "--max-iters", "1", "--runs", "5", "--strict"])
+def test_sweep_strict_exits_on_unconverged_solves(monkeypatch, capsys):
+    monkeypatch.setattr(BPOptions, "max_iters", 1)
+    rc = main(["sweep", "--runs", "5", "--strict"])
     body = json.loads(capsys.readouterr().out)
     assert rc == EXIT_NOT_CONVERGED
     assert body["data"]["unconverged"] == 30   # of 10 M values x 5 runs
@@ -727,8 +745,7 @@ def test_exit_strict_on_nonconvergence(tmp_path, capsys):
     sim = tmp_path / "noisy.csv"
     main(["simulate", "--n", "4", "--m", "16", "--noise-sigma", "0.05",
           "--format", "csv", "--out", str(sim)])
-    base = ["recover", str(sim), "--method", "bp", "--n", "4",
-            "--max-iters", "300"]
+    base = ["recover", str(sim), "--method", "bp", "--n", "4"]
     rc = main(base + ["--strict"])
     capsys.readouterr()
     assert rc == EXIT_NOT_CONVERGED
@@ -756,6 +773,28 @@ def test_module_entry_point():
     assert proc.returncode == 0, proc.stderr
     body = json.loads(proc.stdout)
     assert body["data"]["powers"][0] == 2.0
+
+
+def test_recover_at_the_float_limit(tmp_path, capsys):
+    # One power of 1.7e308.  BP's solution on four close delays lies past
+    # the float range: one error line.  Harmonic inversion projects the
+    # data onto the harmonics, so its answer stays finite.
+    big = tmp_path / "big.csv"
+    big.write_text("alpha,power\n0.1,1.7e308\n0.2,1\n0.3,1\n0.4,1\n")
+    assert main(["recover", str(big), "--method", "bp", "--n", "4"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: Basis Pursuit solution overflows "
+                            "the float range\n")
+    even = tmp_path / "even.csv"
+    main(["simulate", "--n", "4", "--m", "8", "--format", "csv",
+          "--out", str(even)])
+    lines = even.read_text().splitlines()
+    lines[3] = lines[3].split(",")[0] + ",1.7e308"
+    even.write_text("\n".join(lines) + "\n")
+    body = run_json(["recover", str(even), "--method", "ft", "--n", "4"], capsys)
+    assert np.isfinite(body["data"]["raw"]).all()
+    assert math.isfinite(body["data"]["final_residual"])
 
 
 def test_overflowing_weights_give_one_error_line():

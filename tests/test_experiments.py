@@ -14,7 +14,7 @@ from compint.experiments import (
 )
 from compint.modes import BasisKind, ComplexModalField, ModeBasis
 from compint import experiments, recovery
-from compint.recovery import BPOptions, Method, RecoveryResult, reconstruction_error
+from compint.recovery import BPOptions, RecoveryResult, reconstruction_error
 from compint.sensing import ModalSpectrum
 
 from oracles import highs_bp
@@ -174,7 +174,7 @@ def _highs_solve(phi, y, opts=recovery.BPOptions()):
         z = recovery._refit(phi.entries, y.values, np.abs(x) > 1e-9 * np.abs(x).max())
     return RecoveryResult(spectrum=ModalSpectrum(np.maximum(z, 0.0)), iterations=0,
                           final_residual=float(np.linalg.norm(phi.entries @ z - y.values)),
-                          converged=x is not None, method=Method.BP, raw=z)
+                          converged=x is not None, raw=z)
 
 
 def test_sweep_unchanged_by_early_stop(monkeypatch):
@@ -266,8 +266,9 @@ def test_sweep_result_validation():
 
 
 def test_sweep_counts_unconverged_solves(monkeypatch):
-    capped, solves = _recorded_sweep(monkeypatch, 64, 4, [5, 30], runs=5,
-                                     opts=BPOptions(max_iters=1))
+    with monkeypatch.context() as patch:
+        patch.setattr(BPOptions, "max_iters", 1)
+        capped, solves = _recorded_sweep(monkeypatch, 64, 4, [5, 30], runs=5)
     assert capped.unconverged == sum(not r.converged for r in solves) > 0
     full, solves = _recorded_sweep(monkeypatch, 64, 4, [5, 30], runs=5)
     assert all(r.converged for r in solves)

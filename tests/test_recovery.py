@@ -10,7 +10,6 @@ from compint.experiments import scenario_by_name
 from compint.recovery import (
     BPOptions,
     InsufficientSamplingError,
-    Method,
     basis_pursuit,
     ft_recover,
     reconstruction_error,
@@ -41,7 +40,6 @@ def test_ft_exact_at_critical_rate():
     res = ft_recover(y, sched, 2)
     np.testing.assert_allclose(res.raw, [0.0, 1.0], atol=1e-14)
     assert res.converged
-    assert res.method is Method.FT
     assert res.iterations == 0
     assert res.final_residual < 1e-12
 
@@ -110,7 +108,6 @@ def test_bp_recovers_sparse_spike_below_nyquist():
     y = sample_interferogram(truth, sched)
     res = basis_pursuit(phi, y)
     assert res.converged
-    assert res.method is Method.BP
     assert reconstruction_error(truth, res.raw) < 1e-10
 
     sol, unique = l1_oracle(phi.entries, y.values)
@@ -171,8 +168,7 @@ def _noisy_problems():
         m = int(rng.integers(3, min(2 * n, 60) + 1))
         sigma = (0.0, 0.01)[(i // 3) % 2]
         eps = sigma * np.sqrt(m + 2 * np.sqrt(2 * m)) if sigma and i % 4 < 2 else 0.05
-        opts = BPOptions(max_iters=2000, residual_epsilon=eps,
-                         nonnegative=bool((i // 6) % 2))
+        opts = BPOptions(residual_epsilon=eps, nonnegative=bool((i // 6) % 2))
         x = np.zeros(n)
         s = int(rng.integers(1, 5))
         x[rng.choice(n, s, replace=False)] = rng.dirichlet(np.ones(s))
@@ -312,8 +308,7 @@ def _clustered_noisy_problem(i):
     sigma = rng.choice([0.001, 0.01, 0.1, 0.5])
     y = scale * (phi.entries @ x + sigma * rng.standard_normal(m))
     eps = scale * sigma * rng.choice([0.3, 1.0, np.sqrt(m + 2 * np.sqrt(2 * m))])
-    opts = BPOptions(residual_epsilon=float(eps), nonnegative=i % 4 >= 2,
-                     max_iters=5000)
+    opts = BPOptions(residual_epsilon=float(eps), nonnegative=i % 4 >= 2)
     return phi, MeasurementVector(y), opts
 
 
@@ -355,6 +350,18 @@ def test_walk_survives_a_singular_gram_matrix():
     res = basis_pursuit(phi, y, opts)
     assert not res.converged and res.iterations <= 6
     assert np.isfinite(res.raw).all() and (res.raw >= 0.0).all()
+
+
+def test_walk_ends_on_a_non_finite_fit(monkeypatch):
+    # A Gram solve that LAPACK does not flag as singular may still return
+    # non-finite values; the walk then ends unconverged with z = 0.
+    phi = sensing_matrix(random_schedule(8, seed=10), 4)
+    y = MeasurementVector(phi.entries @ np.array([0.0, 1.0, 0.0, 0.5]))
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda gram, b: np.full(np.shape(b), np.nan))
+    res = basis_pursuit(phi, y)
+    assert not res.converged and res.iterations == 1
+    assert np.isfinite(res.raw).all() and not res.raw.any()
 
 
 @pytest.mark.parametrize("i", [89, 374])
@@ -649,8 +656,9 @@ def test_exact_bp_converged_needs_optimality(monkeypatch):
     # The solve certifies the truth's refit at step 1, so a cap of two steps
     # changes nothing; where no certificate passes, no solve converges.
     y = MeasurementVector(a @ one)
-    capped = basis_pursuit(phi, y, BPOptions(max_iters=2))
     full = basis_pursuit(phi, y)
+    monkeypatch.setattr(BPOptions, "max_iters", 2)
+    capped = basis_pursuit(phi, y)
     assert capped.converged and full.converged
     assert capped.iterations == full.iterations == 1
     np.testing.assert_array_equal(capped.raw, full.raw)
@@ -830,7 +838,7 @@ def test_bp_converged_implies_feasible():
         m = int(rng.integers(2, n + 3))
         phi = sensing_matrix(random_schedule(m, seed=400 + i), n)
         y = MeasurementVector(rng.uniform(-1.0, 1.0, m))
-        opts = BPOptions(residual_epsilon=0.05, max_iters=5000)
+        opts = BPOptions(residual_epsilon=0.05)
         res = basis_pursuit(phi, y, opts)
         if res.converged:
             assert res.final_residual <= opts.residual_epsilon + opts.abs_tol
@@ -856,21 +864,46 @@ def test_bp_nonnegative_constraint():
     x = np.array([1.0, 0.3])
     phi = sensing_matrix(random_schedule(8, seed=10), 2)
     res = basis_pursuit(phi, MeasurementVector(-(phi.entries @ x)),
-                        BPOptions(nonnegative=True, max_iters=2000))
+                        BPOptions(nonnegative=True))
     # sign-flipped data cannot be fit by nonnegative weights at tiny epsilon,
     # but the iterate must respect the constraint throughout
     assert np.all(res.raw >= 0.0)
     assert not res.converged
 
 
+def test_bp_at_the_float_limit():
+    # y and epsilon scaled by 2^1023 give the solution for y scaled by
+    # 2^1023, bit for bit: the walk runs on y / 2^k either way.
+    phi = sensing_matrix(random_schedule(20, seed=9), 64)
+    x = np.zeros(64)
+    x[[2, 9, 30]] = [0.7, 0.5, 0.3]
+    y = phi.entries @ x
+    assert 1.0 <= np.abs(y).max() < 2.0
+    base = basis_pursuit(phi, MeasurementVector(y), BPOptions(residual_epsilon=0.05))
+    big = basis_pursuit(phi, MeasurementVector(np.ldexp(y, 1023)),
+                        BPOptions(residual_epsilon=np.ldexp(0.05, 1023)))
+    np.testing.assert_array_equal(big.raw, np.ldexp(base.raw, 1023))
+    assert (big.iterations, big.converged) == (base.iterations, True)
+    # and data at the foot of the range lie inside the default epsilon-ball
+    tiny = basis_pursuit(phi, MeasurementVector(np.ldexp(y, -1074)))
+    assert tiny.converged and not tiny.raw.any()
+    assert recovery._norm(np.array([1.7e308])) == 1.7e308
+    assert recovery._norm(np.array([1.7e308, 1.7e308])) == np.inf
+    # a solution past the float range is refused, not returned as inf
+    near = DelaySchedule(np.array([0.1, 0.2, 0.3, 0.4]), ScheduleKind.EXTERNAL)
+    with pytest.raises(ValueError, match="overflows the float range"):
+        basis_pursuit(sensing_matrix(near, 4),
+                      MeasurementVector(np.array([1.7e308, 0.0, 0.0, 0.0])))
+
+
 def test_bp_report_snaps_small_entries():
-    x = np.array([1.0, 0.3])
+    x = np.array([1.0, 3e-7])
     phi = sensing_matrix(random_schedule(8, seed=10), 2)
     y = MeasurementVector(phi.entries @ x)
-    res = basis_pursuit(phi, y, BPOptions(zero_threshold=0.5))
-    assert abs(res.raw[1] - 0.3) < 1e-6
+    res = basis_pursuit(phi, y)
+    assert abs(res.raw[1] - 3e-7) < 1e-12
     assert res.spectrum.weights[1] == 0.0
-    assert abs(res.spectrum.weights[0] - 1.0) < 1e-6
+    assert abs(res.spectrum.weights[0] - 1.0) < 1e-12
 
 
 def test_bp_noise_requires_matching_epsilon():
@@ -880,7 +913,7 @@ def test_bp_noise_requires_matching_epsilon():
     sigma = 0.05
     y = sample_interferogram(truth, sched, noise_sigma=sigma, seed=6)
 
-    tight = basis_pursuit(phi, y, BPOptions(max_iters=3000))
+    tight = basis_pursuit(phi, y)
     assert not tight.converged
 
     eps = 1.2 * sigma * np.sqrt(128)
@@ -910,13 +943,12 @@ def test_bp_shape_mismatch():
 def test_bp_options_validation():
     with pytest.raises(ValueError):
         BPOptions(residual_epsilon=-1.0)
-    with pytest.raises(ValueError):
-        BPOptions(max_iters=0)
-    with pytest.raises(ValueError):
-        BPOptions(zero_threshold=-0.5)
-    # the feasibility tolerance is a constant of the solver, not an option
-    assert "abs_tol" not in {f.name for f in dataclasses.fields(BPOptions)}
-    assert BPOptions().abs_tol == 1e-8
+    # the two settings that define the program are the only options; the
+    # feasibility tolerance, step cap and report threshold are constants
+    fields = {f.name for f in dataclasses.fields(BPOptions)}
+    assert fields == {"residual_epsilon", "nonnegative"}
+    assert (BPOptions.abs_tol, BPOptions.max_iters,
+            BPOptions.zero_threshold) == (1e-8, 50000, 1e-6)
 
 
 def test_result_raw_is_readonly():
