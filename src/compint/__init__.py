@@ -15,9 +15,9 @@ from .modes import (BasisKind, ComplexModalField, GridResolutionWarning,
                     field_interferogram, generalized_delay, mode_function,
                     mode_table, synthesize)
 from .sensing import (DelaySchedule, MeasurementVector, ModalSpectrum,
-                      ScheduleKind, SensingMatrix, analytic_interferogram,
-                      even_alphas, nyquist_schedule, random_schedule,
-                      sample_interferogram, sensing_matrix)
+                      SensingMatrix, analytic_interferogram, even_alphas,
+                      nyquist_schedule, random_schedule, sample_interferogram,
+                      sensing_matrix)
 from .recovery import (BPOptions, InsufficientSamplingError, RecoveryResult,
                        basis_pursuit, ft_recover, reconstruction_error)
 from .diagnostics import (EtaEnsembleReport, IsotropyReport, eta,
@@ -33,8 +33,8 @@ __all__ = [
     "BasisKind", "ComplexModalField", "GridResolutionWarning", "ModeBasis",
     "SampledGrid", "default_grid", "delay_kernel", "field_interferogram",
     "generalized_delay", "mode_function", "mode_table", "synthesize",
-    "DelaySchedule", "MeasurementVector", "ModalSpectrum", "ScheduleKind",
-    "SensingMatrix", "analytic_interferogram", "even_alphas",
+    "DelaySchedule", "MeasurementVector", "ModalSpectrum", "SensingMatrix",
+    "analytic_interferogram", "even_alphas",
     "nyquist_schedule", "random_schedule", "sample_interferogram",
     "sensing_matrix",
     "BPOptions", "InsufficientSamplingError", "RecoveryResult",

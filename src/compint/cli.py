@@ -38,8 +38,8 @@ from .experiments import (ScenarioSpec, builtin_scenarios, error_vs_m_sweep,
 from .modes import _TWO_PI
 from .recovery import BPOptions, basis_pursuit, ft_recover
 from .sensing import (DelaySchedule, MeasurementVector, ModalSpectrum,
-                      ScheduleKind, nyquist_schedule, random_schedule,
-                      sample_interferogram, sensing_matrix)
+                      nyquist_schedule, random_schedule, sample_interferogram,
+                      sensing_matrix)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -118,9 +118,10 @@ def ingest_interferogram(path: str, baseline: float = 1.0,
     if not alphas:
         raise IngestError(f"{path}: no data rows after the header")
 
-    schedule = DelaySchedule(np.array(alphas), ScheduleKind.EXTERNAL)
-    values = np.array(powers) - baseline
-    return schedule, MeasurementVector(values)
+    # Overflow is left to MeasurementVector's finite check, which names it.
+    with np.errstate(over="ignore"):
+        values = np.array(powers) - baseline
+    return DelaySchedule(np.array(alphas)), MeasurementVector(values)
 
 
 # ---------------------------------------------------------------------------
@@ -237,25 +238,6 @@ def _choice(*options):
     return convert
 
 
-def _weight(key, item, raw, not_numeric):
-    """One nonnegative finite weight of the list or map `raw`."""
-    value = _coerce(key, not_numeric, raw, item)
-    if isinstance(item, bool) or not math.isfinite(value) or value < 0:
-        _reject(key, "nonnegative finite weights", raw)
-    return value
-
-
-@_flag()
-def _weight_list(key, raw):
-    """Nonnegative weights, as a JSON list or a comma-separated string."""
-    if isinstance(raw, str):
-        raw = [part.strip() for part in raw.split(",")]
-    if not isinstance(raw, list) or len(raw) == 0:
-        _reject(key, "a non-empty list of numbers", raw)
-    return [_weight(key, item, raw, "a non-empty list of numbers")
-            for item in raw]
-
-
 @_flag()
 def _mode_map(key, raw):
     """{harmonic index: weight}, as a JSON object or 'n=w,n=w' string."""
@@ -276,7 +258,10 @@ def _mode_map(key, raw):
         index = _coerce(key, "integer mode indices >= 1", raw, index_raw, int)
         if index < 1 or index in out:
             _reject(key, "distinct integer mode indices >= 1", raw)
-        out[index] = _weight(key, weight_raw, raw, "numeric weights")
+        weight = _coerce(key, "numeric weights", raw, weight_raw)
+        if isinstance(weight_raw, bool) or not math.isfinite(weight) or weight < 0:
+            _reject(key, "nonnegative finite weights", raw)
+        out[index] = weight
     return out
 
 
@@ -310,8 +295,6 @@ _SCHEMAS = {
         "noise_sigma": _Param(_default(sample_interferogram, "noise_sigma"),
                               _NONNEGATIVE, "additive Gaussian noise level"),
         "scenario": _Param(None, _string, "builtin beam name to simulate"),
-        "weights": _Param(None, _weight_list,
-                          "comma-separated weight vector (sets n)"),
         "modes": _Param(None, _mode_map, "sparse weights as n=w,n=w pairs"),
     },
     "recover": {
@@ -374,18 +357,9 @@ _GLOBALS = {
 
 
 def _check_simulate(params, explicit):
-    sources = [k for k in ("scenario", "weights", "modes") if params[k] is not None]
-    if len(sources) > 1:
-        raise ConfigError(
-            "keys 'scenario', 'weights', 'modes' are mutually exclusive; "
-            f"got {', '.join(sources)}")
-    if params["weights"] is not None:
-        if "n" in explicit and len(params["weights"]) != params["n"]:
-            raise ConfigError(
-                f"key 'weights': length {len(params['weights'])} conflicts "
-                f"with n={params['n']}")
-        params["n"] = len(params["weights"])
     if params["scenario"] is not None:
+        if params["modes"] is not None:
+            raise ConfigError("key 'modes': mutually exclusive with scenario")
         try:
             preset = scenario_by_name(params["scenario"])
         except KeyError as exc:
@@ -591,8 +565,6 @@ def emit_result(meta: dict, output: CommandOutput, fmt: str,
 def _simulate_spectrum(params) -> ModalSpectrum:
     if params["scenario"] is not None:
         return scenario_by_name(params["scenario"]).spectrum
-    if params["weights"] is not None:
-        return ModalSpectrum(np.array(params["weights"]))
     modes = params["modes"] if params["modes"] is not None else {1: 1.0}
     return ModalSpectrum.from_entries(params["n"], modes)
 

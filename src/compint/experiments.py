@@ -50,7 +50,7 @@ class ScenarioSpec:
         if self.cs_m > self.nyquist_m:
             raise ValueError(
                 f"cs_m {self.cs_m} exceeds nyquist_m {self.nyquist_m}")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.amplitudes is not None:
             if self.amplitudes.basis != self.basis:
@@ -233,6 +233,8 @@ def error_vs_m_sweep(n_modes: int, s_max: int, m_values, runs: int,
         raise ValueError(f"s_max {s_max} outside 1..{n_modes}")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if not threshold > 0:
+        raise ValueError(f"threshold must be > 0, got {threshold}")
 
     truths = []
     for r in range(runs):

@@ -68,7 +68,7 @@ class BPOptions:
     zero_threshold: ClassVar[float] = 1e-6
 
     def __post_init__(self):
-        if self.residual_epsilon < 0:
+        if not self.residual_epsilon >= 0:
             raise ValueError("residual_epsilon must be >= 0")
 
 
@@ -144,7 +144,8 @@ def ft_recover(y: MeasurementVector, schedule: DelaySchedule, n_modes: int) -> R
 
     w_n = 2/M except at the edge harmonic n = M/2 (reached only when M = 2N
     exactly), where sum_j cos^2(n a_j) = M instead of M/2 and w_n = 1/M.
-    Exact on noiseless even-grid data with M >= 2N.
+    Exact on noiseless even-grid data with M >= 2N.  Raises ValueError
+    where a coefficient lies past the float range.
     """
     return _ft_invert(y, sensing_matrix(schedule, n_modes))
 
@@ -158,10 +159,16 @@ def _ft_invert(y: MeasurementVector, phi: SensingMatrix) -> RecoveryResult:
     if m < 2 * n_modes:
         raise InsufficientSamplingError(
             f"M={m} below Nyquist rate 2N={2 * n_modes} for N={n_modes}")
-    coeffs = (2.0 / m) * (phi.entries.T @ y.values)
+    # The sums run on y / 2^power, which cannot overflow, as in basis_pursuit.
+    yv, power = _scaled(y.values)
+    coeffs = (2.0 / m) * (phi.entries.T @ yv)
     if m == 2 * n_modes:
         coeffs[-1] *= 0.5
-    residual = _norm(phi.entries @ coeffs - y.values)
+    residual = _ldexp(_norm(phi.entries @ coeffs - yv), power)
+    with np.errstate(over="ignore"):
+        coeffs = np.ldexp(coeffs, power)
+    if not np.isfinite(coeffs).all():
+        raise ValueError("harmonic inversion overflows the float range")
     return RecoveryResult(
         spectrum=ModalSpectrum(np.maximum(coeffs, 0.0)),
         iterations=0,
@@ -328,7 +335,8 @@ def _walk(a: np.ndarray, yv: np.ndarray, opts: BPOptions):
                 d += np.linalg.solve(gram, s - cols.T @ (cols @ d))
                 u = cols @ d
                 lam = math.sqrt((goal * goal - length * length) / (u @ u))
-                if lam * (tau + t) >= 1.0:
+                # lam is 0 where goal^2 underflows; 0 * (tau + inf) is nan
+                if lam > 0 and lam * (tau + t) >= 1.0:
                     x = np.zeros(n)
                     x[on] = fit - lam * d
                     nu = (yv - a @ x) / lam

@@ -1,13 +1,12 @@
 """Delay schedules, the interferometric sensing matrix, and measurement synthesis.
 
-A schedule is a list of delay values alpha_j in [0, 2*pi]; the sensing matrix
-has entries cos(n * alpha_j) for harmonic index n = 1..N, and the baseline-
-subtracted interferogram samples y_j = P(alpha_j) - 1 satisfy y = Phi @ x for
-the modal weight vector x = {|c_n|^2}.
+A schedule is its list of delay values alpha_j in [0, 2*pi] and nothing more:
+whether they form the Nyquist grid is read from the values themselves.  The
+sensing matrix has entries cos(n * alpha_j) for harmonic index n = 1..N, and
+the baseline-subtracted interferogram samples y_j = P(alpha_j) - 1 satisfy
+y = Phi @ x for the modal weight vector x = {|c_n|^2}.
 """
 from __future__ import annotations
-
-import enum
 
 import numpy as np
 
@@ -58,12 +57,6 @@ def _as_vector(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
-class ScheduleKind(enum.Enum):
-    EVEN_GRID = "even"
-    UNIFORM_RANDOM = "random"
-    EXTERNAL = "external"
-
-
 def even_alphas(m: int) -> np.ndarray:
     """The half-open Nyquist grid alpha_j = 2*pi*j/m, j = 0..m-1."""
     return np.arange(m) * (_TWO_PI / m)
@@ -71,18 +64,14 @@ def even_alphas(m: int) -> np.ndarray:
 
 @_frozen_value
 class DelaySchedule:
-    """Ordered delay values alpha_j in [0, 2*pi] plus how they were generated."""
+    """Ordered delay values alpha_j in [0, 2*pi]."""
 
     alphas: np.ndarray
-    kind: ScheduleKind
-    seed: int | None = None
 
     def __post_init__(self):
         a = _own_vector(self, "alphas")
         if a.min() < 0 or a.max() > _TWO_PI:
             raise ValueError("delay values must lie in [0, 2*pi]")
-        if self.kind is ScheduleKind.EVEN_GRID and not np.array_equal(a, even_alphas(len(a))):
-            raise ValueError("EVEN_GRID schedule must equal 2*pi*j/M, j=0..M-1")
 
     @property
     def m(self) -> int:
@@ -95,13 +84,16 @@ class SensingMatrix:
 
     entries: np.ndarray
     schedule: DelaySchedule
-    n_modes: int
 
     def __post_init__(self):
         e = _own(self, "entries")
-        if e.shape != (self.schedule.m, self.n_modes):
+        if e.ndim != 2 or len(e) != self.schedule.m:
             raise ValueError(
-                f"entries shape {e.shape} != ({self.schedule.m}, {self.n_modes})")
+                f"entries shape {e.shape} is not ({self.schedule.m}, N)")
+
+    @property
+    def n_modes(self) -> int:
+        return self.entries.shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -113,12 +105,9 @@ class MeasurementVector:
     """Baseline-subtracted interferogram samples y_j = P(alpha_j) - 1."""
 
     values: np.ndarray
-    noise_sigma: float = 0.0
 
     def __post_init__(self):
         _own_vector(self, "values")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -128,14 +117,14 @@ def nyquist_schedule(m: int) -> DelaySchedule:
     """M evenly spaced delays 2*pi*j/M, j = 0..M-1 (endpoint 2*pi excluded)."""
     if m < 1:
         raise ValueError(f"schedule length must be >= 1, got {m}")
-    return DelaySchedule(even_alphas(m), ScheduleKind.EVEN_GRID)
+    return DelaySchedule(even_alphas(m))
 
 
 def random_schedule(m: int, seed: int) -> DelaySchedule:
     """M delays drawn i.i.d. uniform on [0, 2*pi], reproducible from seed."""
     if m < 1:
         raise ValueError(f"schedule length must be >= 1, got {m}")
-    return DelaySchedule(_random_delays(m, seed), ScheduleKind.UNIFORM_RANDOM, seed=seed)
+    return DelaySchedule(_random_delays(m, seed))
 
 
 def _random_delays(m: int, seed: int) -> np.ndarray:
@@ -149,7 +138,7 @@ def sensing_matrix(schedule: DelaySchedule, n_modes: int) -> SensingMatrix:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     harmonics = np.arange(1, n_modes + 1)
     entries = np.cos(np.outer(schedule.alphas, harmonics))
-    return SensingMatrix(entries, schedule, n_modes)
+    return SensingMatrix(entries, schedule)
 
 
 def analytic_interferogram(x: ModalSpectrum, alpha):
@@ -174,10 +163,14 @@ def sample_interferogram(x: ModalSpectrum, schedule: DelaySchedule,
 def _measure(phi: SensingMatrix, x: ModalSpectrum, noise_sigma: float = 0.0,
              seed: int = 0) -> MeasurementVector:
     """sample_interferogram(x, phi.schedule, noise_sigma, seed), for a caller
-    that has already built phi = sensing_matrix(phi.schedule, x.n_modes)."""
+    that has already built phi = sensing_matrix(phi.schedule, x.n_modes).
+
+    The returned vector holds the samples only; the noise level is not kept."""
+    if not noise_sigma >= 0:
+        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
     # Overflow is left to MeasurementVector's finite check, which names it.
     with np.errstate(over="ignore", invalid="ignore"):
         y = phi.entries @ x.weights
-    if noise_sigma > 0:
-        y = y + stream(seed, "measurement-noise").normal(0.0, noise_sigma, phi.schedule.m)
-    return MeasurementVector(y, noise_sigma=noise_sigma)
+        if noise_sigma > 0:
+            y = y + stream(seed, "measurement-noise").normal(0.0, noise_sigma, phi.schedule.m)
+    return MeasurementVector(y)

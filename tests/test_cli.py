@@ -28,7 +28,6 @@ from compint.cli import (
     render_text,
 )
 from compint.recovery import BPOptions
-from compint.sensing import ScheduleKind
 
 TWO_PI = 2.0 * math.pi
 
@@ -94,13 +93,7 @@ def test_seed_bounds():
 def test_simulate_source_exclusivity_and_n_inference():
     with pytest.raises(ConfigError, match="mutually exclusive"):
         parse_config("simulate",
-                     overrides={"scenario": "hg0", "weights": [1.0]})
-    cfg = parse_config("simulate", overrides={"weights": [0.5, 0.5]})
-    assert cfg.params["n"] == 2
-    cfg = parse_config("simulate", overrides={"weights": "0.25,0.75"})
-    assert cfg.params["weights"] == [0.25, 0.75]
-    with pytest.raises(ConfigError, match="'weights'"):
-        parse_config("simulate", overrides={"weights": [0.5, 0.5], "n": 3})
+                     overrides={"scenario": "hg0", "modes": {"1": 1.0}})
     cfg = parse_config("simulate", overrides={"scenario": "hg1"})
     assert cfg.params["n"] == 64
     with pytest.raises(ConfigError, match="'n'"):
@@ -134,14 +127,13 @@ _HUGE = "1" + "0" * 400  # a JSON integer past the float range
 
 @pytest.mark.parametrize("command, config, key", [
     ("recover", '{"epsilon": %s}' % _HUGE, "epsilon"),
-    ("simulate", '{"weights": [%s]}' % _HUGE, "weights"),
     ("simulate", '{"modes": {"1": %s}}' % _HUGE, "modes"),
     ("sweep", '{"m_values": [Infinity]}', "m_values"),
     # past np.intp, where numpy can neither convert nor allocate
     ("sweep", '{"m_values": [1e300]}', "m_values"),
     ("simulate", '{"m": %s}' % 10 ** 30, "m"),
     ("diagnose", '{"samples": %s}' % 10 ** 30, "samples"),
-], ids=["number", "weight-list", "mode-weight", "int-list", "int-list-intp",
+], ids=["number", "mode-weight", "int-list", "int-list-intp",
         "count-intp", "samples-intp"])
 def test_out_of_range_json_numbers_exit_config(tmp_path, capsys, command,
                                                config, key):
@@ -161,13 +153,12 @@ def test_out_of_range_json_numbers_exit_config(tmp_path, capsys, command,
     ("recover", '{"input": "in.csv", "wrap": "yes"}', "wrap"),
     ("simulate", '{"scenario": 5}', "scenario"),
     ("simulate", '{"n": null}', "n"),
-    ("simulate", '{"weights": [0.5, -0.5]}', "weights"),
-    ("simulate", '{"weights": []}', "weights"),
+    ("simulate", '{"modes": {"1": 0.5, "2": -0.5}}', "modes"),
     ("simulate", '{"modes": {}}', "modes"),
     ("sweep", '{"m_values": []}', "m_values"),
     ("sweep", '{"m_values": [2.5]}', "m_values"),
 ], ids=["number-type", "number-range", "bool-type", "string-type",
-        "null-with-default", "negative-weight", "empty-weights", "empty-modes",
+        "null-with-default", "negative-weight", "empty-modes",
         "empty-m-values", "fractional-m-value"])
 def test_rejected_json_values_exit_config(tmp_path, capsys, command, config,
                                           key):
@@ -207,10 +198,22 @@ def test_solver_constants_are_rejected_as_flags_and_keys(tmp_path, capsys):
         assert "unknown key 'max_iters'" in capsys.readouterr().err
 
 
+def test_weights_is_rejected_as_flag_and_key(tmp_path, capsys):
+    # a spectrum comes one way only: --modes n=w pairs with --n
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "--weights", "0.5,0.5"])
+    assert info.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --weights" in capsys.readouterr().err
+    path = tmp_path / "cfg.json"
+    path.write_text('{"weights": [1.0]}')
+    assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+    assert "unknown key 'weights'" in capsys.readouterr().err
+
+
 def test_json_null_leaves_none_default_unset(tmp_path):
     # null for a key whose default is None is the same as leaving it out
     path = tmp_path / "cfg.json"
-    path.write_text('{"m": null, "weights": null, "scenario": null}')
+    path.write_text('{"m": null, "modes": null, "scenario": null}')
     assert (parse_config("simulate", config_path=str(path)).params
             == parse_config("simulate").params)
 
@@ -372,7 +375,6 @@ def test_ingest_basic(tmp_path):
     write_interferogram(path, ["0,2.0", f"{math.pi},0.0"],
                         comments=["simulated"])
     schedule, y = ingest_interferogram(str(path))
-    assert schedule.kind is ScheduleKind.EXTERNAL
     np.testing.assert_array_equal(schedule.alphas, [0.0, math.pi])
     np.testing.assert_array_equal(y.values, [1.0, -1.0])
 
@@ -516,8 +518,10 @@ def test_simulate_defaults_payload(capsys):
 
 
 def test_simulate_weights_payload(capsys):
-    body = run_json(["simulate", "--weights", "0.25,0.75", "--m", "8"], capsys)
+    body = run_json(["simulate", "--modes", "1=0.25,2=0.75", "--n", "2",
+                     "--m", "8"], capsys)
     assert body["meta"]["parameters"]["n"] == 2
+    assert "weights" not in body["meta"]["parameters"]
     assert body["data"]["n"] == 2
     assert body["data"]["true_weights"] == [0.25, 0.75]
     # P(0) = 1 + sum of the weights
@@ -801,12 +805,23 @@ def test_overflowing_weights_give_one_error_line():
     # the overflowing product must reach the finite check without a numpy
     # RuntimeWarning; a fresh process shows whatever reaches stderr
     proc = subprocess.run(
-        [sys.executable, "-m", "compint", "simulate", "--weights",
-         "1e308,1e308", "--m", "4"],
+        [sys.executable, "-m", "compint", "simulate", "--modes",
+         "1=1e308,2=1e308", "--n", "2", "--m", "4"],
         capture_output=True, text=True)
     assert proc.returncode == EXIT_CONFIG
     assert proc.stdout == ""
     assert proc.stderr == "config error: values must be finite\n"
+
+
+def test_overflowing_baseline_gives_one_error_line(tmp_path, capsys):
+    # power - baseline past the float range reaches the finite check
+    # without a numpy RuntimeWarning
+    path = tmp_path / "in.csv"
+    write_interferogram(path, ["0,-1.7e308", "3,1.0"])
+    assert main(["recover", str(path), "--baseline", "1e307"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: values must be finite\n"
 
 
 def test_import_does_not_load_scipy():

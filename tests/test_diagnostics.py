@@ -20,7 +20,6 @@ from compint.diagnostics import (
 from compint.sensing import (
     DelaySchedule,
     ModalSpectrum,
-    ScheduleKind,
     nyquist_schedule,
     random_schedule,
     sensing_matrix,
@@ -33,7 +32,7 @@ from oracles import isotropy_reference
 
 
 def test_eta_single_row_at_zero_delay():
-    sched = DelaySchedule(np.array([0.0]), ScheduleKind.EXTERNAL)
+    sched = DelaySchedule(np.array([0.0]))
     phi = sensing_matrix(sched, 1)
     assert eta(phi, np.array([1.0])) == 1.0
 
@@ -255,9 +254,9 @@ def test_eta_report_validation():
 
 
 def test_incoherence_extremes():
-    zero = DelaySchedule(np.array([0.0]), ScheduleKind.EXTERNAL)
+    zero = DelaySchedule(np.array([0.0]))
     assert incoherence(sensing_matrix(zero, 4)) == 1.0
-    quarter = DelaySchedule(np.array([np.pi / 2.0]), ScheduleKind.EXTERNAL)
+    quarter = DelaySchedule(np.array([np.pi / 2.0]))
     assert incoherence(sensing_matrix(quarter, 1)) < 1e-30
 
 

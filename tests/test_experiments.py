@@ -253,6 +253,18 @@ def test_sweep_validation():
         error_vs_m_sweep(16, 2, [5], runs=4, vectors=1)
 
 
+def test_scenario_rejects_nan_noise_sigma():
+    with pytest.raises(ValueError, match="noise_sigma must be >= 0, got nan"):
+        dataclasses.replace(scenario_by_name("hg0"), noise_sigma=np.nan)
+
+
+def test_sweep_rejects_nan_and_nonpositive_threshold():
+    # such a threshold no mean error can fall below: m_star would be None
+    for bad in (np.nan, 0.0, -0.01):
+        with pytest.raises(ValueError, match="threshold must be > 0"):
+            error_vs_m_sweep(16, 2, [5], runs=1, threshold=bad)
+
+
 def test_sweep_result_validation():
     with pytest.raises(ValueError):
         SweepResult(np.array([5, 10]), np.array([0.1]), np.array([0.0, 0.0]),

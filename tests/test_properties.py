@@ -4,21 +4,28 @@ kernel and the config parser over many inputs.
 Hypothesis draws the inputs.  It is derandomized and keeps no example
 database, so every run checks the same cases.
 """
+import contextlib
+import io
+import json
+import os
+import tempfile
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
-from compint.cli import _GLOBALS, _SCHEMAS, ConfigError, parse_config
+from compint.cli import _GLOBALS, _SCHEMAS, ConfigError, main, parse_config
+from compint.experiments import builtin_scenarios
 from compint.diagnostics import _eta_block, eta
 from compint.modes import (BasisKind, ComplexModalField, ModeBasis,
                            default_grid, field_interferogram, mode_table,
                            synthesize)
 from compint.recovery import BPOptions, _join_ratios, basis_pursuit, ft_recover
 from compint.sensing import (DelaySchedule, MeasurementVector, ModalSpectrum,
-                             ScheduleKind, analytic_interferogram,
-                             nyquist_schedule, random_schedule,
-                             sample_interferogram, sensing_matrix)
+                             analytic_interferogram, nyquist_schedule,
+                             random_schedule, sample_interferogram,
+                             sensing_matrix)
 
 from oracles import synthesize_reference
 
@@ -81,7 +88,7 @@ def test_bp_row_permutation_invariance(problem, data, eps):
     phi, x = problem
     perm = np.array(data.draw(st.permutations(range(phi.shape[0]))))
     y = phi.entries @ x
-    shuffled = DelaySchedule(phi.schedule.alphas[perm], ScheduleKind.EXTERNAL)
+    shuffled = DelaySchedule(phi.schedule.alphas[perm])
     opts = BPOptions(residual_epsilon=eps)
     res = basis_pursuit(phi, MeasurementVector(y), opts)
     res_shuffled = basis_pursuit(sensing_matrix(shuffled, len(x)),
@@ -103,7 +110,7 @@ def test_bp_dependent_row_invariance(problem, data, mirrored):
     alpha = alphas[data.draw(st.integers(0, len(alphas) - 1))]
     extra = 2.0 * np.pi - alpha if mirrored else alpha
     doubled = sensing_matrix(
-        DelaySchedule(np.append(alphas, extra), ScheduleKind.EXTERNAL), len(x))
+        DelaySchedule(np.append(alphas, extra)), len(x))
     res = basis_pursuit(phi, MeasurementVector(phi.entries @ x))
     res_doubled = basis_pursuit(doubled, MeasurementVector(doubled.entries @ x))
     assert res_doubled.converged == res.converged
@@ -302,7 +309,7 @@ def _eta_rows(draw):
     s = draw(st.integers(1, n))
     pool = draw(st.lists(_ALPHAS, min_size=1, max_size=20))
     alphas = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20))
-    phi = sensing_matrix(DelaySchedule(np.array(alphas), ScheduleKind.EXTERNAL), n)
+    phi = sensing_matrix(DelaySchedule(np.array(alphas)), n)
     rows = draw(st.integers(1, 8))
     supports = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=s,
                                       max_size=s, unique=True),
@@ -395,3 +402,112 @@ def test_parse_config_accepts_or_raises_config_error(config):
     except ConfigError:
         return
     assert all(abs(i) <= _MAX_COUNT for i in _integers_in(cfg.params))
+
+
+# Bounds that keep one run of main to a fraction of a second.  A key whose
+# default lies past its bound is always given, and so is recover's input.
+_FUZZ_CAPS = {"n": 64, "m": 60, "cs_m": 60, "s": 64, "s_max": 64,
+              "samples": 2000, "rows": 5000, "schedules": 20, "runs": 3}
+_FUZZ_REQUIRED = {"samples", "rows", "schedules", "runs", "input"}
+
+
+def _csv(schedule, x):
+    y = sample_interferogram(x, schedule)
+    rows = [f"{a!r},{1.0 + v!r}" for a, v in zip(schedule.alphas, y.values)]
+    return "alpha,power\n" + "\n".join(rows) + "\n"
+
+
+# recover's inputs, by name; "missing" is never written
+_FUZZ_INPUTS = {
+    "even": _csv(nyquist_schedule(20),
+                 ModalSpectrum.from_entries(8, {3: 0.25, 7: 0.75})),
+    "random": _csv(random_schedule(12, 1),
+                   ModalSpectrum.from_entries(64, {5: 1.0})),
+    "huge": "alpha,power\n0,1.7e308\n3,-1.7e308\n",
+    "malformed": "alpha,power\n0,abc\n",
+}
+
+
+def _fuzz_values(key, param):
+    """Values of `key` for main's argv or config file, small enough to run."""
+    flag = param.convert.flag
+    if key in ("scenario", "name"):
+        return st.sampled_from([s.name for s in builtin_scenarios()] + ["nope"])
+    if key == "input":
+        return st.sampled_from(sorted(_FUZZ_INPUTS) + ["missing"])
+    if key == "out":
+        return st.sampled_from(["out.txt", os.path.join("missing", "out.txt")])
+    if key == "modes":
+        return st.dictionaries(st.integers(-1, 70), st.floats(), max_size=3)
+    if key == "m_values":
+        return st.lists(st.integers(-1, 60), max_size=3)
+    if key == "nyquist_m":   # 128 lets harmonic inversion run at N = 64
+        return st.integers(-1, 60) | st.just(128)
+    if key == "seed":
+        return st.integers(-1, 2 ** 64)
+    if flag.get("action") == "store_true":
+        return st.booleans()
+    if "choices" in flag:
+        return st.sampled_from(flag["choices"])
+    if flag.get("type") is float:
+        return st.floats()
+    if flag.get("type") is int:
+        return st.integers(-1, _FUZZ_CAPS.get(key, 60))
+    return st.text(max_size=8)
+
+
+def _flag_token(key, value):
+    """`--key=value` as the flag spells it, or None for a False switch;
+    recover's input is the positional argument."""
+    if key == "input" or value is False:
+        return value or None
+    flag = "--" + key.replace("_", "-")
+    if value is True:
+        return flag
+    if isinstance(value, dict):
+        value = ",".join(f"{n}={w}" for n, w in value.items())
+    elif isinstance(value, list):
+        value = ",".join(str(v) for v in value)
+    return f"{flag}={value}"
+
+
+@st.composite
+def _invocations(draw):
+    """(command, {key: value} as flags, {key: value} for a config file)."""
+    command = draw(st.sampled_from(sorted(_SCHEMAS)))
+    keys = {**_SCHEMAS[command], **_GLOBALS}
+    chosen = draw(st.sets(st.sampled_from(sorted(keys)), max_size=5))
+    flags, config = {}, {}
+    for key in sorted(chosen | (_FUZZ_REQUIRED & set(keys))):
+        value = draw(_fuzz_values(key, keys[key]))
+        if key != "input" and draw(st.booleans()):
+            config[key] = value
+        else:
+            flags[key] = value
+    return command, flags, config
+
+
+@settings(_PROPERTY, max_examples=100)
+@given(_invocations())
+def test_main_returns_a_documented_exit_code(invocation):
+    # whatever the keys, main exits 0, 2 (config), 3 (ingest), 4 (output)
+    # or 5 (strict), and raises nothing; warnings are errors under pytest
+    command, flags, config = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in _FUZZ_INPUTS.items():
+            with open(os.path.join(tmp, name), "w") as handle:
+                handle.write(text)
+        flags, config = ({key: os.path.join(tmp, value)
+                          if key in ("input", "out") else value
+                          for key, value in source.items()}
+                         for source in (flags, config))
+        argv = [command] + [_flag_token(key, value) for key, value in flags.items()]
+        if config:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w") as handle:
+                json.dump(config, handle)
+            argv.append(f"--config={path}")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([token for token in argv if token is not None])
+    assert code in (0, 2, 3, 4, 5), argv

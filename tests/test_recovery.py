@@ -18,7 +18,6 @@ from compint.sensing import (
     DelaySchedule,
     MeasurementVector,
     ModalSpectrum,
-    ScheduleKind,
     even_alphas,
     nyquist_schedule,
     random_schedule,
@@ -89,9 +88,24 @@ def test_ft_requires_even_schedule_and_nyquist_rate():
         ft_recover(MeasurementVector(np.zeros(6)), sched, 0)
 
 
+def test_ft_sums_data_near_the_float_limit():
+    # the sums run on y / 2^k: data near 1.7e308 give finite coefficients
+    # without an overflow warning, and a coefficient past the float range
+    # is refused, as basis_pursuit refuses such a solution
+    sched = nyquist_schedule(8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = ft_recover(MeasurementVector(np.full(8, 1.5e308)), sched, 4)
+        assert np.all(np.abs(res.raw) <= 1e293)
+        with pytest.raises(ValueError, match="overflows the float range"):
+            ft_recover(MeasurementVector(1.7e308 * np.sign(np.cos(sched.alphas))),
+                       sched, 4)
+
+
 def test_ft_accepts_externally_tagged_even_grid():
-    # schedules read back from files carry the external tag but identical values
-    sched = DelaySchedule(even_alphas(8), ScheduleKind.EXTERNAL)
+    # a schedule read back from a file is its delays alone; ft reads the
+    # even grid from the values
+    sched = DelaySchedule(even_alphas(8))
     x = ModalSpectrum.from_entries(4, {2: 1.0}, normalized=True)
     y = sample_interferogram(x, sched)
     res = ft_recover(y, sched, 4)
@@ -299,7 +313,7 @@ def _clustered_noisy_problem(i):
         k = max(2, m // 2)
         alphas[:k] = np.clip(alphas[0] + 10.0 ** rng.uniform(-9, -3, k),
                              0.0, 2.0 * np.pi)
-    phi = sensing_matrix(DelaySchedule(alphas, ScheduleKind.EXTERNAL), n)
+    phi = sensing_matrix(DelaySchedule(alphas), n)
     s = int(rng.integers(1, 5))
     x = np.zeros(n)
     x[rng.choice(n, s, replace=False)] = (rng.uniform(-1.0, 1.0, s) if i % 3
@@ -509,7 +523,7 @@ def test_exact_bp_repeated_and_mirrored_delays():
     # after forcing in columns that lie in the range already.
     alphas = random_schedule(10, seed=6).alphas
     alphas = np.concatenate((alphas, [alphas[0], 2.0 * np.pi - alphas[1]]))
-    phi = sensing_matrix(DelaySchedule(alphas, ScheduleKind.EXTERNAL), 16)
+    phi = sensing_matrix(DelaySchedule(alphas), 16)
     truth = np.zeros(16)
     truth[[2, 9]] = [0.7, 0.3]
     y = phi.entries @ truth
@@ -531,7 +545,7 @@ def test_exact_bp_singular_normal_equations():
     for seed in (1, 26):
         alphas = random_schedule(8, seed=seed).alphas.copy()
         alphas[1] = alphas[0] + 3e-5
-        phi = sensing_matrix(DelaySchedule(alphas, ScheduleKind.EXTERNAL), 8)
+        phi = sensing_matrix(DelaySchedule(alphas), 8)
         res = basis_pursuit(phi, MeasurementVector(phi.entries @ truth))
         assert res.converged
         np.testing.assert_allclose(res.raw, truth, rtol=0.0, atol=1e-12)
@@ -540,7 +554,7 @@ def test_exact_bp_singular_normal_equations():
 def test_exact_bp_detects_infeasible_nonnegative_data():
     # the row of delay 0 is all ones, so x >= 0 cannot fit y_0 < 0
     alphas = np.concatenate(([0.0], random_schedule(7, seed=8).alphas))
-    phi = sensing_matrix(DelaySchedule(alphas, ScheduleKind.EXTERNAL), 16)
+    phi = sensing_matrix(DelaySchedule(alphas), 16)
     y = np.ones(8)
     y[0] = -1.0
     opts = BPOptions(nonnegative=True)
@@ -599,6 +613,18 @@ def test_exact_bp_is_scale_free():
         res = basis_pursuit(phi, MeasurementVector(c * (phi.entries @ truth)))
         assert res.converged == converged
         np.testing.assert_allclose(res.raw / c, truth, rtol=0.0, atol=1e-12)
+
+
+def test_noisy_bp_with_an_underflowing_radius_warns_nothing():
+    # y near 1.7e308 with epsilon = 1: on y / 2^1024 the radius squared
+    # underflows, so the epsilon stop's lam is 0, which must not meet an
+    # infinite step as 0 * inf (numpy's "invalid value" warning)
+    phi = sensing_matrix(DelaySchedule(np.array([0.0, 3.0])), 64)
+    y = MeasurementVector(np.array([1.7e308, -1.7e308]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = basis_pursuit(phi, y, BPOptions(residual_epsilon=1.0))
+    assert np.isfinite(res.raw).all() and res.final_residual <= 1.0
 
 
 def test_bp_final_residual_finite_for_huge_data():
@@ -679,7 +705,7 @@ def _mixed_problems(count=300):
             alphas[-1] = alphas[0]
         elif i % 4 == 2:
             alphas[-1] = 2.0 * np.pi - alphas[0]
-        phi = sensing_matrix(DelaySchedule(alphas, ScheduleKind.EXTERNAL), n)
+        phi = sensing_matrix(DelaySchedule(alphas), n)
         nonnegative = i % 5 == 0
         s = int(rng.integers(1, 5))
         x = np.zeros(n)
@@ -890,7 +916,7 @@ def test_bp_at_the_float_limit():
     assert recovery._norm(np.array([1.7e308])) == 1.7e308
     assert recovery._norm(np.array([1.7e308, 1.7e308])) == np.inf
     # a solution past the float range is refused, not returned as inf
-    near = DelaySchedule(np.array([0.1, 0.2, 0.3, 0.4]), ScheduleKind.EXTERNAL)
+    near = DelaySchedule(np.array([0.1, 0.2, 0.3, 0.4]))
     with pytest.raises(ValueError, match="overflows the float range"):
         basis_pursuit(sensing_matrix(near, 4),
                       MeasurementVector(np.array([1.7e308, 0.0, 0.0, 0.0])))
@@ -949,6 +975,11 @@ def test_bp_options_validation():
     assert fields == {"residual_epsilon", "nonnegative"}
     assert (BPOptions.abs_tol, BPOptions.max_iters,
             BPOptions.zero_threshold) == (1e-8, 50000, 1e-6)
+
+
+def test_bp_options_rejects_nan_epsilon():
+    with pytest.raises(ValueError, match="residual_epsilon must be >= 0"):
+        BPOptions(residual_epsilon=np.nan)
 
 
 def test_result_raw_is_readonly():

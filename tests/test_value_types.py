@@ -1,5 +1,6 @@
 """Every frozen value type owns read-only copies of its array fields,
 rejects bad values with a fixed message and compares by value."""
+import dataclasses
 import re
 
 import numpy as np
@@ -11,9 +12,9 @@ from compint.modes import (BasisKind, ComplexModalField, ModeBasis, SampledGrid,
                            field_interferogram, mode_table)
 from compint.recovery import RecoveryResult
 from compint.sensing import (DelaySchedule, MeasurementVector, ModalSpectrum,
-                             ScheduleKind, SensingMatrix)
+                             SensingMatrix)
 
-_SCHEDULE = DelaySchedule(np.array([0.0, 1.0]), ScheduleKind.EXTERNAL)
+_SCHEDULE = DelaySchedule(np.array([0.0, 1.0]))
 
 # (type, array fields, other fields): each array field is a fresh input array.
 _CASES = [
@@ -21,9 +22,9 @@ _CASES = [
     (ComplexModalField, {"coeffs": np.array([1.0, 0.5j])},
      {"basis": ModeBasis(BasisKind.HERMITE_GAUSS_1D, 2)}),
     (ModalSpectrum, {"weights": [0.25, 0.75]}, {}),
-    (DelaySchedule, {"alphas": [0.0, 1.0]}, {"kind": ScheduleKind.EXTERNAL}),
+    (DelaySchedule, {"alphas": [0.0, 1.0]}, {}),
     (SensingMatrix, {"entries": [[1.0, 1.0], [0.5, -0.4]]},
-     {"schedule": _SCHEDULE, "n_modes": 2}),
+     {"schedule": _SCHEDULE}),
     (MeasurementVector, {"values": [0.1, -0.2]}, {}),
     (RecoveryResult, {"raw": [0.0, 1.0]},
      {"spectrum": ModalSpectrum([0.0, 1.0]), "iterations": 0,
@@ -63,7 +64,7 @@ _VECTOR_CASES = [
     (ComplexModalField, "coeffs",
      {"basis": ModeBasis(BasisKind.HERMITE_GAUSS_1D, 2)}),
     (ModalSpectrum, "weights", {}),
-    (DelaySchedule, "alphas", {"kind": ScheduleKind.EXTERNAL}),
+    (DelaySchedule, "alphas", {}),
     (MeasurementVector, "values", {}),
     (SweepResult, "m_values",
      {"mean_error": [0.1, 0.01], "std_error": [0.05, 0.0],
@@ -107,8 +108,7 @@ _CHECKED = [
     (ComplexModalField, {**_FIELD_ARGS, "coeffs": [0.6, 0.8j],
                          "normalized": True}, "coeffs"),
     (ModalSpectrum, {"weights": [0.25, 0.75]}, "weights"),
-    (DelaySchedule, {"alphas": [0.0, 1.0], "kind": ScheduleKind.EXTERNAL},
-     "alphas"),
+    (DelaySchedule, {"alphas": [0.0, 1.0]}, "alphas"),
     (SweepResult, _SWEEP_ARGS, "mean_error"),
 ]
 
@@ -135,11 +135,10 @@ _MESSAGE_PARAMS = [
                  "error statistics must be nonnegative",
                  id="SweepResult-negative-std"),
     pytest.param(DelaySchedule,
-                 {"alphas": [-1e-12, 1.0], "kind": ScheduleKind.EXTERNAL},
+                 {"alphas": [-1e-12, 1.0]},
                  "delay values must lie in [0, 2*pi]", id="DelaySchedule-below"),
     pytest.param(DelaySchedule,
-                 {"alphas": [0.0, 2.0 * np.pi + 1e-12],
-                  "kind": ScheduleKind.EXTERNAL},
+                 {"alphas": [0.0, 2.0 * np.pi + 1e-12]},
                  "delay values must lie in [0, 2*pi]", id="DelaySchedule-above"),
     pytest.param(ComplexModalField,
                  {**_FIELD_ARGS, "coeffs": [1.0, 1.0j], "normalized": True},
@@ -161,11 +160,11 @@ _DIFFERENT = {
     ComplexModalField: [{"coeffs": [1.0, 0.25j]},
                         {"basis": ModeBasis(BasisKind.LAGUERRE_GAUSS_RADIAL, 2)}],
     ModalSpectrum: [{"weights": [0.75, 0.25]}, {"weights": [0.25, 0.75, 0.0]}],
-    DelaySchedule: [{"alphas": [0.0, 2.0]}, {"kind": ScheduleKind.UNIFORM_RANDOM}],
+    DelaySchedule: [{"alphas": [0.0, 2.0]}, {"alphas": [0.0, 1.0, 2.0]}],
     SensingMatrix: [{"entries": [[1.0, 1.0], [0.5, -0.5]]}, {
         "entries": [[1.0, 1.0], [0.5, -0.4], [0.0, 0.0]],
-        "schedule": DelaySchedule(np.array([0.0, 1.0, 2.0]), ScheduleKind.EXTERNAL)}],
-    MeasurementVector: [{"values": [0.1, -0.3]}, {"noise_sigma": 0.01}],
+        "schedule": DelaySchedule(np.array([0.0, 1.0, 2.0]))}],
+    MeasurementVector: [{"values": [0.1, -0.3]}, {"values": [0.1, -0.2, 0.0]}],
     RecoveryResult: [{"raw": [0.0, 1.5]},
                      {"spectrum": ModalSpectrum([0.5, 0.5])}, {"converged": False}],
     SweepResult: [{"mean_error": [0.1, 0.02]}, {"m_values": np.array([5, 11])},
@@ -206,3 +205,18 @@ def test_equality_ignores_stored_tables_and_references():
     assert grid._tables and field._reference is not None
     assert grid == twin
     assert field == ComplexModalField(basis, [0.6, 0.8j])
+
+
+def test_measurement_types_store_each_fact_once():
+    # a schedule is its delays, a measurement its samples, and a sensing
+    # matrix's mode count is the width of its entries
+    def names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert names(DelaySchedule) == {"alphas"}
+    assert names(MeasurementVector) == {"values"}
+    assert names(SensingMatrix) == {"entries", "schedule"}
+    phi = SensingMatrix(np.ones((2, 3)), _SCHEDULE)
+    assert phi.n_modes == 3
+    with pytest.raises(AttributeError):
+        phi.n_modes = 2
