@@ -334,9 +334,10 @@ def mode_table(basis: ModeBasis, grid: SampledGrid, n_max: int | None = None) ->
 
     The full basis.max_order table is built once per basis and memoised on
     the grid, read-only and starting on a _TABLE_ALIGN-byte boundary; the
-    first n_max columns are returned as a view of it.  Each column of the
-    recurrence depends only on the two before it, so the view equals an
-    n_max-column build bit for bit.
+    first n_max columns are returned as a view of it, with no copy.  Each
+    column of the recurrence depends only on the two before it, so the view
+    equals an n_max-column build bit for bit.  `synthesize` reads such a
+    prefix, as wide as the highest mode its field carries.
     """
     if n_max is None:
         n_max = basis.max_order
@@ -421,12 +422,23 @@ def delay_kernel(basis: ModeBasis, alpha: float, grid: SampledGrid) -> np.ndarra
 
 
 def synthesize(field: ComplexModalField, grid: SampledGrid) -> np.ndarray:
-    """Sampled field E(x) = sum_n c_n psi_n(x) on the grid."""
-    table, c = mode_table(field.basis, grid), field.coeffs
-    # One real (G x N) @ (N x 2) product with the rows [Re c_n, Im c_n], a
-    # view of the coefficients, reads the table once (`table @ c` would cast
-    # it to complex first); its rows [Re E, Im E] are viewed as complex.
-    return (table @ c.view(float).reshape(-1, 2)).view(complex)[:, 0]
+    """Sampled field E(x) = sum_n c_n psi_n(x) on the grid.
+
+    The sum stops at the highest mode the field carries, `top`, the index of
+    its last nonzero coefficient (1 for a zero field, which gives zeros), so
+    the cost follows `top` and not basis.max_order: the product reads
+    `mode_table`'s first `top` columns through its prefix view.  A field
+    zero-padded to a larger basis therefore gives the same samples bit for
+    bit on a grid both bases share.
+    """
+    c = field.coeffs
+    carried = c.nonzero()[0]
+    top = int(carried[-1]) + 1 if len(carried) else 1
+    # One real (G x top) @ (top x 2) product with the rows [Re c_n, Im c_n],
+    # a view of the coefficients, reads the table once (`table @ c` would
+    # cast it to complex first); its rows [Re E, Im E] are viewed as complex.
+    table = mode_table(field.basis, grid, top)
+    return (table @ c[:top].view(float).reshape(-1, 2)).view(complex)[:, 0]
 
 
 def field_interferogram(field: ComplexModalField, alpha: float,
@@ -441,8 +453,11 @@ def field_interferogram(field: ComplexModalField, alpha: float,
     another grid.  Each call then synthesizes only the delayed field, whose
     coefficients follow `generalized_delay`'s phase rule but which is derived
     from the field without its copy and checks, and squares the superposed
-    samples in that synthesis's own buffer.  Raises ValueError if the
-    reference's norm is zero or underflows, or if it or P overflows.
+    samples in that synthesis's own buffer.  The delay keeps every zero
+    coefficient zero, so both syntheses read the mode table's prefix up to
+    the highest mode the field carries, and their cost follows that mode,
+    not basis.max_order.  Raises ValueError if the reference's norm is zero
+    or underflows, or if it or P overflows.
     """
     if grid is None:
         grid = default_grid(field.basis)

@@ -440,19 +440,79 @@ def test_two_mode_destructive_point():
     assert abs(field_interferogram(field, np.pi)) < 1e-10
 
 
+def low_order_coeffs(rng, n, count):
+    """`count` coefficient vectors of length n whose nonzero entries, one to
+    three of them, lie within modes 1..3."""
+    out = []
+    for _ in range(count):
+        c = np.zeros(n, complex)
+        size = rng.integers(1, min(n, 3) + 1)
+        idx = rng.choice(min(n, 3), size=size, replace=False)
+        c[idx] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        out.append(c)
+    return out
+
+
 @pytest.mark.parametrize("kind", list(BasisKind))
 @pytest.mark.parametrize("n", [1, 8, 64])
 def test_synthesize_matches_complex_product(kind, n):
     basis = ModeBasis(kind, n)
     grid = default_grid(basis)
     rng = np.random.default_rng(29 + n)
-    for _ in range(5):
-        field = ComplexModalField(
-            basis, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    dense = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(5)]
+    for coeffs in dense + low_order_coeffs(rng, n, 5):
+        field = ComplexModalField(basis, coeffs)
         got = synthesize(field, grid)
         ref = synthesize_reference(mode_table(basis, grid), field.coeffs)
         assert got.dtype == complex
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+# --------------------------------------------------------------- carried modes
+
+
+@pytest.mark.parametrize("kind", list(BasisKind))
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_zero_padding_changes_no_bit(kind, n):
+    # the same coefficients in ModeBasis(kind, n) and zero-padded to 64
+    # modes, on one grid, give the same samples and interferogram
+    grid = fresh_grid(ModeBasis(kind, 64))
+    rng = np.random.default_rng(3800 + n)
+    for _ in range(3):
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        short = ComplexModalField(ModeBasis(kind, n), c)
+        padded = ComplexModalField(ModeBasis(kind, 64), np.pad(c, (0, 64 - n)))
+        assert np.array_equal(synthesize(short, grid), synthesize(padded, grid))
+        for alpha in [0.0, np.pi, *rng.uniform(0.0, 2.0 * np.pi, 20)]:
+            assert (field_interferogram(short, float(alpha), grid)
+                    == field_interferogram(padded, float(alpha), grid))
+
+
+@pytest.mark.parametrize("kind", list(BasisKind))
+def test_product_stops_at_the_highest_carried_mode(kind, monkeypatch):
+    basis = ModeBasis(kind, 64)
+    grid = default_grid(basis)
+    widths = []
+
+    def recorded(basis, grid, n_max=None, _mode_table=modes.mode_table):
+        widths.append(n_max)
+        return _mode_table(basis, grid, n_max)
+    monkeypatch.setattr(modes, "mode_table", recorded)
+    for top in (1, 2, 3, 17, 64):
+        c = np.zeros(64, complex)
+        c[[0, top - 1]] = [0.5, 0.25j]
+        widths.clear()
+        synthesize(ComplexModalField(basis, c), grid)
+        assert widths == [top]
+    # a field carrying mode N alone reads the whole table, and equals the
+    # dense (G x N) @ (N x 2) product bit for bit
+    c = np.zeros(64, complex)
+    c[63] = 0.6 - 0.8j
+    widths.clear()
+    got = synthesize(ComplexModalField(basis, c), grid)
+    assert widths == [64]
+    dense = (mode_table(basis, grid) @ c.view(float).reshape(-1, 2)).view(complex)[:, 0]
+    assert np.array_equal(got, dense)
 
 
 def test_delay_phases_are_shared_and_read_only():
@@ -494,11 +554,20 @@ def test_interferogram_synthesizes_the_generalized_delay(normalized, monkeypatch
 
 
 def test_zero_field_rejected():
-    basis = ModeBasis(BasisKind.HERMITE_GAUSS_1D, 4)
-    field = ComplexModalField(basis, np.zeros(4, complex))
-    for _ in range(2):   # also once the zero reference is stored
-        with pytest.raises(ValueError, match="zero norm"):
-            field_interferogram(field, 1.0)
+    # a zero field synthesizes to zeros, and its interferogram raises the
+    # zero-norm error, not mode_table's IndexError for a table of no modes
+    for kind in BasisKind:
+        for n in (4, 64):
+            basis = ModeBasis(kind, n)
+            field = ComplexModalField(basis, np.zeros(n, complex))
+            grid = default_grid(basis)
+            samples = synthesize(field, grid)
+            assert samples.dtype == complex
+            assert samples.shape == (len(grid),)
+            assert not samples.any()
+            for _ in range(2):   # also once the zero reference is stored
+                with pytest.raises(ValueError, match="zero norm"):
+                    field_interferogram(field, 1.0)
 
 
 @pytest.mark.parametrize("scale", [1e-170, 1e-200])
@@ -582,10 +651,13 @@ def test_memoised_interferogram_is_bit_identical(kind, support):
     basis = ModeBasis(kind, 64)
     grid = default_grid(basis)
     rng = np.random.default_rng(2900 + support)
+    drawn = []
     for _ in range(3):
         c = np.zeros(64, complex)
         idx = rng.choice(64, size=support, replace=False)
         c[idx] = rng.standard_normal(support) + 1j * rng.standard_normal(support)
+        drawn.append(c)
+    for c in drawn + low_order_coeffs(rng, 64, 3):
         field = ComplexModalField(basis, c)
         spread = rng.uniform(0.0, 2.0 * np.pi, 10)
         alphas = [0.0, np.pi, *spread, *(2.0 * np.pi - spread)]
